@@ -533,7 +533,7 @@ def q_cascade_rerank(sf_dir: str):
     production retrieve-then-rerank shape): stage 1 retrieves the depth-100
     pool with cheap flat BM25 (block-max path), stage 2 re-scores ONLY the
     pool with the expensive SDM query through score_documents (the
-    score-requested-docs actor pool — per-shard postings probes, never a
+    score-requested-docs path — per-shard postings probes, never a
     second full-corpus evaluation). Output: the pool's top-20 in SDM order
     with each doc's stage-1 rank alongside (the cascade's audit trail)."""
     import pyarrow.parquet as papq

@@ -222,7 +222,7 @@ def run_bench() -> dict:
         ]
         params = ModelParams(model="BM25")
 
-        # batch path (Ray Data actors)
+        # one-shot path (a QueryService started and shut down per call)
         timeit("query_batch_data_path", lambda: run_queries(idx, qset, params))
 
         # serving path (persistent actors): per-query latency distribution.

@@ -216,7 +216,7 @@ def cmd_sweep(args) -> int:
     run every (k1, b) combination over one shared index + query set, score
     each run against the qrels, and print a best-first JSON table."""
     _ensure_ray()
-    from .query.executor import run_queries
+    from .query.executor import QueryService
     from .query.models import ModelParams
     from .sources.evalmetrics import evaluate_run, read_qrels_grouped
 
@@ -225,21 +225,20 @@ def cmd_sweep(args) -> int:
     k1s = [float(x) for x in args.k1.split(",")]
     bs = [float(x) for x in args.b.split(",")]
     rows = []
-    for k1 in k1s:
-        for b in bs:
-            res = run_queries(
-                args.index, queries, ModelParams(model="BM25", k1=k1, b=b),
-                k=args.k,
-            )
-            run = {
-                qid: [(extid, score) for extid, score, _ in res[qid]]
-                for qid, _ in queries
-            }
-            m = evaluate_run(run, qrels)
-            rows.append(
-                {"k1": k1, "b": b,
-                 **{k: v for k, v in m.get("all", {}).items()}}
-            )
+    # one service for the whole grid: shard state loads once, not per point
+    with QueryService(args.index) as svc:
+        for k1 in k1s:
+            for b in bs:
+                res = svc.run(queries, ModelParams(model="BM25", k1=k1, b=b), k=args.k)
+                run = {
+                    qid: [(extid, score) for extid, score, _ in res[qid]]
+                    for qid, _ in queries
+                }
+                m = evaluate_run(run, qrels)
+                rows.append(
+                    {"k1": k1, "b": b,
+                     **{k: v for k, v in m.get("all", {}).items()}}
+                )
     rows.sort(key=lambda r: (-r.get("map", 0.0), r["k1"], r["b"]))
     print(json.dumps(rows, indent=1))
     return 0

@@ -38,6 +38,7 @@ byte-compatible so the external tools drop in unchanged via
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,23 +133,14 @@ def compute_features(
         for j in jobs[-9:]:
             want[j[0]] = cand
     score_map: dict[tuple[str, str], dict[int, float]] = {}
-    own = None
-    if service is None:
-        # leave ≥1 CPU unpinned (raw num_cpus=1 workers) so concurrent
-        # tasks still schedule on a small test cluster
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        own = service = QueryService(index_dir, num_actors=max(1, min(8, ncpu - 1)))
-    try:
-        for prm, tag in ((bm25, "bm25"), (indri, "indri")):
+    with nullcontext(service) if service is not None else QueryService(index_dir) as svc:
+        for prm in (bm25, indri):
             batch = [(j, q) for j, q, p in jobs if p is prm]
             if not batch:
                 continue
-            got = service.score_documents(batch, prm, want)
+            got = svc.score_documents(batch, prm, want)
             for r in got.itertuples():
                 score_map.setdefault(r.qid, {})[int(r.docid)] = float(r.score)
-    finally:
-        if own is not None:
-            own.shutdown()
 
     # ---- term vectors for overlap + f18 + field presence ----
     ranges = _shard_of(index_dir)

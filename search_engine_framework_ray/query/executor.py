@@ -1,16 +1,15 @@
 """Distributed query execution over mmap'd index shards.
 
-Two front-ends over the same planning/evaluation core:
+One execution path: :class:`QueryService` — raw Ray actors, each holding a
+fixed group of shards loaded once, one RPC per query batch (the distributed
+analog of the reference's static ``READER``; the one place we drop below
+the Dataset API, as SURVEY.md §0 allows for a shared long-lived index).
+The one-shot functions :func:`run_queries`, :func:`run_il_queries` and
+:func:`score_documents` plan on the driver, start a service for the call
+and shut it down before returning; callers with many calls over one index
+keep one service open instead.
 
-* :func:`run_queries` — Ray **Data** path: a ``(qid, shard)`` work list fans
-  out through a ``map_batches`` actor pool; right default for batch query
-  workloads (hundreds+ of queries).
-* :class:`QueryService` — raw Ray **actor** path: persistent shard workers,
-  one RPC per query batch; right for latency benchmarks / serving, where
-  per-call Dataset overhead would dominate. (The one place we drop below the
-  Dataset API, as SURVEY.md §0 allows for a shared long-lived index.)
-
-Common shape (SURVEY.md §3.1): driver parses queries and resolves **global**
+Shape (SURVEY.md §3.1): driver parses queries and resolves **global**
 term stats from the build-time ``termstats`` store; queries whose scored
 leaves are composite (#NEAR/#WINDOW/#SYN under #SCORE) get a cross-shard
 (df, ctf) pre-pass; every shard then scores with global stats, returns its
@@ -84,7 +83,7 @@ class _ShardCache:
 
 
 # ---------------------------------------------------------------------------
-# evaluation core (shared by the Data actors and the service workers)
+# evaluation core (run by the service workers)
 # ---------------------------------------------------------------------------
 
 
@@ -192,43 +191,72 @@ def exec_rows(
     return pd.DataFrame(out)
 
 
-class StatsPrePassActor:
-    def __init__(self, index_dir: str, queries_ref):
-        import ray
+def il_rows(cache: _ShardCache, queries: dict, pairs) -> pd.DataFrame:
+    """Per (qid, shard): evaluate a raw inverted-list query (Il root) →
+    per-doc tf rows (the reference's 'output inverted list' path)."""
+    out = {"qid": [], "docid": [], "url": [], "tf": []}
+    for qid, shard in pairs:
+        tree, params = queries[qid]
+        view = cache.view(int(shard))
+        try:
+            inv = Evaluator(view, params).eval_il(tree)
+        except ValueError:
+            continue  # per-query isolation (see exec_rows)
+        docids, tfs = inv.docids, inv.tfs
+        if len(cache.tombstones):
+            keep = ~_member_mask(cache.tombstones, docids)
+            docids, tfs = docids[keep], tfs[keep]
+        if not len(docids):
+            continue
+        urls = view.reader.url_of(docids)
+        out["qid"].extend([qid] * len(docids))
+        out["docid"].extend(int(d) for d in docids)
+        out["url"].extend(urls)
+        out["tf"].extend(int(t) for t in tfs)
+    return pd.DataFrame(
+        {
+            "qid": pd.Series(out["qid"], dtype="object"),
+            "docid": pd.Series(out["docid"], dtype="int64"),
+            "url": pd.Series(out["url"], dtype="object"),
+            "tf": pd.Series(out["tf"], dtype="int64"),
+        }
+    )
 
-        self.cache = _ShardCache(index_dir)
-        self.queries = ray.get(queries_ref)  # qid -> (qtree, params)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return stats_prepass_rows(
-            self.cache, self.queries, zip(batch["qid"], batch["shard"])
+def score_docs_rows(cache: _ShardCache, queries: dict, pairs) -> pd.DataFrame:
+    """Per (qid, shard): evaluate and emit scores for a REQUESTED docid set
+    only — no top-k truncation. The LeToR feature extractor needs this: the
+    reference keeps the full ScoreList per ranking and probes judged docs
+    against it (LearnToRank.java:209-256, buildMap :598-606)."""
+    out = {"qid": [], "docid": [], "score": []}
+    for qid, shard in pairs:
+        qtree, params, stats, want = queries[qid]
+        view = cache.view(int(shard))
+        lo = view.reader.docid_base
+        hi = lo + view.reader.n_docs
+        w = np.asarray(want, dtype=np.int64)
+        w = w[(w >= lo) & (w < hi)]
+        if not len(w):
+            continue
+        ev = Evaluator(
+            view, params, stats,
+            il_cache=cache.il_cache, il_cache_key=int(shard),
         )
-
-
-class QueryExecActor:
-    def __init__(self, index_dir: str, queries_ref, k: int = 100, filter_ef=None):
-        import ray
-
-        self.cache = _ShardCache(index_dir)
-        self.queries = ray.get(queries_ref)  # qid -> (qtree, params, score_stats)
-        self.k = k
-        # per-shard Elias-Fano allowed-docid sets (functions/ef.py), decoded
-        # ONCE per actor; ~2 bytes/member crosses the wire instead of int64s
-        self.allowed = None
-        if filter_ef is not None:
-            from ..functions.ef import ef_decode
-
-            self.allowed = {int(s): ef_decode(b)[0] for s, b in filter_ef.items()}
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return exec_rows(
-            self.cache,
-            self.queries,
-            zip(batch["qid"], batch["shard"]),
-            self.k,
-            allowed=self.allowed,
-        )
-
+        try:
+            res = ev.evaluate(qtree)
+        except ValueError:
+            continue  # invalid query → no rows (per-query isolation)
+        mask = np.isin(res.docids, w)
+        out["qid"].extend([qid] * int(mask.sum()))
+        out["docid"].extend(int(d) for d in res.docids[mask])
+        out["score"].extend(float(s) for s in res.scores[mask])
+    return pd.DataFrame(
+        {
+            "qid": pd.Series(out["qid"], dtype="object"),
+            "docid": pd.Series(out["docid"], dtype="int64"),
+            "score": pd.Series(out["score"], dtype="float64"),
+        }
+    )
 
 # ---------------------------------------------------------------------------
 # planning
@@ -385,7 +413,7 @@ def merge_results(
 
 
 # ---------------------------------------------------------------------------
-# front-end 1: Ray Data batch path
+# routing
 # ---------------------------------------------------------------------------
 
 
@@ -406,8 +434,8 @@ def _collect_term_keys(node) -> list[str]:
     return out
 
 
-# (queries_routed, shard_tasks_routed, shard_tasks_full) of the last
-# run_queries call — BASELINE/bench instrumentation for the fan-out drop
+# (queries, shard_tasks_full, shard_tasks_routed) of the last query batch
+# a QueryService ran — BASELINE/bench instrumentation for the fan-out drop
 LAST_ROUTE_STATS: dict[str, int] = {}
 
 
@@ -440,320 +468,13 @@ def _bloom_route_map(index_dir: str, shards: list[int], trees: dict):
     return route
 
 
-def run_queries(
-    index_dir: str,
-    queries: list[tuple[str, str]],
-    params: ModelParams,
-    *,
-    k: int = 100,
-    concurrency: int | None = None,
-    filter_ef: "dict[int, bytes] | None" = None,
-    route: bool = True,
-) -> dict[str, list[tuple[str, float, int]]]:
-    """Run ``[(qid, qtext)]`` against the index; returns
-    ``qid → [(url, score, docid)]`` top-k in final rank order.
-    Queries that fail to parse or match nothing map to ``[]``.
-    ``filter_ef`` (shard → Elias-Fano bytes from query/filtered.py)
-    restricts the ranking to an allowed docid set at query time; global
-    collection stats are unchanged (Lucene filter-query semantics).
-    ``route`` (default ON) skips shards whose term-Bloom sidecar proves
-    they hold none of a query's terms — result-identical by construction
-    (VERDICT r3 #9), with the fan-out drop recorded in
-    :data:`LAST_ROUTE_STATS`."""
-    import ray
-    import ray.data
-
-    shards = list_shards(index_dir)
-    if not shards:
-        raise ValueError(f"no shards in {index_dir}")
-    trees, score_stats, composite_qids = plan_queries(index_dir, queries, params)
-    if concurrency is None:
-        concurrency = max(1, min(len(shards), 8))
-
-    route_map = _bloom_route_map(index_dir, shards, trees) if route else None
-
-    def q_shards(q) -> list[int]:
-        return route_map[q] if route_map is not None else shards
-
-    LAST_ROUTE_STATS.clear()
-    LAST_ROUTE_STATS.update(
-        {
-            "queries": len(trees),
-            "shard_tasks_full": len(shards) * len(trees),
-            "shard_tasks_routed": sum(len(q_shards(q)) for q in trees),
-        }
-    )
-
-    if composite_qids:
-        ref = ray.put({q: (trees[q], params) for q in composite_qids})
-        work = [
-            {"qid": q, "shard": s} for q in composite_qids for s in q_shards(q)
-        ]
-        # an empty routed work list ≡ the full fan-out returning zero rows
-        # (no shard holds any of the composite queries' terms)
-        if work:
-            pre = (
-                ray.data.from_items(work)
-                .map_batches(
-                    StatsPrePassActor,
-                    fn_constructor_kwargs={"index_dir": index_dir, "queries_ref": ref},
-                    batch_format="pandas",
-                    concurrency=(1, concurrency),
-                    batch_size=max(1, len(work) // (concurrency * 2) or 1),
-                )
-                .to_pandas()
-            )
-            apply_prepass(score_stats, pre)
-
-    payload = {q: (trees[q], params, score_stats[q]) for q in trees}
-    if not payload:
-        return {qid: [] for qid, _ in queries}
-    ref = ray.put(payload)
-    work = [{"qid": q, "shard": s} for q in trees for s in q_shards(q)]
-    if not work:
-        return {qid: [] for qid, _ in queries}
-    rows = (
-        ray.data.from_items(work)
-        .map_batches(
-            QueryExecActor,
-            fn_constructor_kwargs={
-                "index_dir": index_dir,
-                "queries_ref": ref,
-                "k": k,
-                "filter_ef": filter_ef,
-            },
-            batch_format="pandas",
-            concurrency=(1, concurrency),
-            batch_size=max(1, len(work) // (concurrency * 2) or 1),
-        )
-        .to_pandas()
-    )
-    return merge_results(rows, queries, params, k)
-
-
-class IlExecActor:
-    """Evaluate raw inverted-list queries (Il root) per shard → per-doc tf
-    rows (the reference's 'output inverted list' path)."""
-
-    def __init__(self, index_dir: str, queries_ref):
-        import ray
-
-        self.cache = _ShardCache(index_dir)
-        self.queries = ray.get(queries_ref)  # qid -> (il_tree, params)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"qid": [], "docid": [], "url": [], "tf": []}
-        for qid, shard in zip(batch["qid"], batch["shard"]):
-            tree, params = self.queries[qid]
-            view = self.cache.view(int(shard))
-            ev = Evaluator(view, params)
-            try:
-                inv = ev.eval_il(tree)
-            except ValueError:
-                continue  # per-query isolation (see exec_rows)
-            docids, tfs = inv.docids, inv.tfs
-            if len(self.cache.tombstones):
-                keep = ~_member_mask(self.cache.tombstones, docids)
-                docids, tfs = docids[keep], tfs[keep]
-            if not len(docids):
-                continue
-            urls = view.reader.url_of(docids)
-            out["qid"].extend([qid] * len(docids))
-            out["docid"].extend(int(d) for d in docids)
-            out["url"].extend(urls)
-            out["tf"].extend(int(t) for t in tfs)
-        return pd.DataFrame(
-            {
-                "qid": pd.Series(out["qid"], dtype="object"),
-                "docid": pd.Series(out["docid"], dtype="int64"),
-                "url": pd.Series(out["url"], dtype="object"),
-                "tf": pd.Series(out["tf"], dtype="int64"),
-            }
-        )
-
-
-def run_il_queries(
-    index_dir: str,
-    queries: list[tuple[str, str]],
-    *,
-    ranked: bool = True,
-    k: int = 100,
-    concurrency: int | None = None,
-) -> dict[str, list[tuple[str, float, int]]]:
-    """Il-root result emission (QryEval.java:295-314, sortResult:323-345,
-    postingComparator{Rk,Urk}): when the query root is an inverted-list op,
-    the reference emits the InvList itself — ranked models score each doc
-    by tf sorted (tf desc, extid asc); unranked models score 1.0 sorted
-    extid asc; output capped at min(k, 100) exactly as the reference's
-    ``Math.min(100, …)`` bound. Returns ``qid → [(url, score, docid)]``."""
-    import ray
-    import ray.data
-
-    from .parser import parse_il_query
-
-    shards = list_shards(index_dir)
-    if not shards:
-        raise ValueError(f"no shards in {index_dir}")
-    analyzer_params = ModelParams(model="RankedBoolean" if ranked else "UnrankedBoolean")
-    analyzer = resolve_analyzer(index_dir)
-    trees = {}
-    for qid, qtext in queries:
-        t = parse_il_query(qtext, analyzer)
-        if t is not None:
-            trees[qid] = t
-    results: dict[str, list[tuple[str, float, int]]] = {qid: [] for qid, _ in queries}
-    if not trees:
-        return results
-    if concurrency is None:
-        concurrency = max(1, min(len(shards), 8))
-    ref = ray.put({q: (t, analyzer_params) for q, t in trees.items()})
-    work = [{"qid": q, "shard": s} for s in shards for q in trees]
-    rows = (
-        ray.data.from_items(work)
-        .map_batches(
-            IlExecActor,
-            fn_constructor_kwargs={"index_dir": index_dir, "queries_ref": ref},
-            batch_format="pandas",
-            concurrency=(1, concurrency),
-            batch_size=max(1, len(work) // (concurrency * 2) or 1),
-        )
-        .to_pandas()
-    )
-    bound = min(k, 100)  # the reference's hard 100-row cap
-    for qid, g in rows.groupby("qid"):
-        if ranked:
-            g = g.sort_values(["tf", "url"], ascending=[False, True], kind="mergesort")
-            scores = g["tf"].astype(float)
-        else:
-            g = g.sort_values("url", kind="mergesort")
-            scores = pd.Series(1.0, index=g.index)
-        g = g.head(bound)
-        results[str(qid)] = list(
-            zip(g["url"], scores.loc[g.index], g["docid"].astype(int))
-        )
-    return results
-
-
-class ScoreDocsActor:
-    """Evaluate queries and emit scores for a REQUESTED docid set only — no
-    top-k truncation. The LeToR feature extractor needs this: the reference
-    keeps the full ScoreList per ranking and probes judged docs against it
-    (LearnToRank.java:209-256, buildMap :598-606)."""
-
-    def __init__(self, index_dir: str, queries_ref):
-        import ray
-
-        self.cache = _ShardCache(index_dir)
-        # qid -> (qtree, params, score_stats, sorted wanted docids)
-        self.queries = ray.get(queries_ref)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return score_docs_rows(
-            self.cache, self.queries, zip(batch["qid"], batch["shard"])
-        )
-
-
-def score_docs_rows(cache: _ShardCache, queries: dict, pairs) -> pd.DataFrame:
-    """Shared scoring loop for ScoreDocsActor (Ray Data pool) and
-    ``_ServiceWorker.score`` (persistent service) — one implementation, two
-    execution front-ends."""
-    out = {"qid": [], "docid": [], "score": []}
-    for qid, shard in pairs:
-        qtree, params, stats, want = queries[qid]
-        view = cache.view(int(shard))
-        lo = view.reader.docid_base
-        hi = lo + view.reader.n_docs
-        w = np.asarray(want, dtype=np.int64)
-        w = w[(w >= lo) & (w < hi)]
-        if not len(w):
-            continue
-        ev = Evaluator(
-            view, params, stats,
-            il_cache=cache.il_cache, il_cache_key=int(shard),
-        )
-        try:
-            res = ev.evaluate(qtree)
-        except ValueError:
-            continue  # invalid query → no rows (per-query isolation)
-        mask = np.isin(res.docids, w)
-        out["qid"].extend([qid] * int(mask.sum()))
-        out["docid"].extend(int(d) for d in res.docids[mask])
-        out["score"].extend(float(s) for s in res.scores[mask])
-    return pd.DataFrame(
-        {
-            "qid": pd.Series(out["qid"], dtype="object"),
-            "docid": pd.Series(out["docid"], dtype="int64"),
-            "score": pd.Series(out["score"], dtype="float64"),
-        }
-    )
-
-
-def score_documents(
-    index_dir: str,
-    queries: list[tuple[str, str]],
-    params: ModelParams,
-    want: dict[str, list[int]],
-    *,
-    concurrency: int | None = None,
-) -> pd.DataFrame:
-    """→ (qid, docid, score) for each requested docid that MATCHES its query
-    (non-matching docs are absent, mirroring the reference's score-map probe
-    returning 0.0/absent). Queries that fail to parse contribute no rows."""
-    import ray
-    import ray.data
-
-    shards = list_shards(index_dir)
-    if not shards:
-        raise ValueError(f"no shards in {index_dir}")
-    trees, score_stats, composite_qids = plan_queries(index_dir, queries, params)
-    if concurrency is None:
-        concurrency = max(1, min(len(shards), 8))
-
-    if composite_qids:
-        ref = ray.put({q: (trees[q], params) for q in composite_qids})
-        work = [{"qid": q, "shard": s} for s in shards for q in composite_qids]
-        pre = (
-            ray.data.from_items(work)
-            .map_batches(
-                StatsPrePassActor,
-                fn_constructor_kwargs={"index_dir": index_dir, "queries_ref": ref},
-                batch_format="pandas",
-                concurrency=(1, concurrency),
-                batch_size=max(1, len(work) // (concurrency * 2) or 1),
-            )
-            .to_pandas()
-        )
-        apply_prepass(score_stats, pre)
-
-    payload = {
-        q: (trees[q], params, score_stats[q], sorted(want.get(q, [])))
-        for q in trees
-        if want.get(q)
-    }
-    if not payload:
-        return pd.DataFrame({"qid": [], "docid": [], "score": []})
-    ref = ray.put(payload)
-    work = [{"qid": q, "shard": s} for s in shards for q in payload]
-    return (
-        ray.data.from_items(work)
-        .map_batches(
-            ScoreDocsActor,
-            fn_constructor_kwargs={"index_dir": index_dir, "queries_ref": ref},
-            batch_format="pandas",
-            concurrency=(1, concurrency),
-            batch_size=max(1, len(work) // (concurrency * 2) or 1),
-        )
-        .to_pandas()
-    )
-
-
 # ---------------------------------------------------------------------------
-# front-end 2: persistent actor service (low-latency / repeated queries)
+# the query service
 # ---------------------------------------------------------------------------
 
 
 class _ServiceWorker:
-    """One persistent worker serving a fixed group of shards (loaded once)."""
+    """One worker serving a fixed group of shards (loaded once)."""
 
     def __init__(self, index_dir: str, shards: list[int]):
         self.cache = _ShardCache(index_dir, maxsize=len(shards) + 1)
@@ -779,43 +500,58 @@ class _ServiceWorker:
                 total += int(p.nbytes)
         return total
 
-    def _pairs(self, queries: dict, allowed: "dict | None") -> list:
-        """(qid, shard) work pairs, optionally Bloom-routed: ``allowed``
+    def _pairs(self, queries: dict, routes: "dict | None") -> list:
+        """(qid, shard) work pairs, optionally Bloom-routed: ``routes``
         maps qid → shard subset proven sufficient by the term sidecars
         (a skipped shard is a true negative, so results are unchanged)."""
-        if allowed is None:
-            return [(q, s) for s in self.shards for q in queries]
         return [
             (q, s)
             for q in queries
             for s in self.shards
-            if s in allowed.get(q, self.shards)
+            if routes is None or s in routes.get(q, self.shards)
         ]
 
-    def prepass(self, queries: dict, allowed: "dict | None" = None) -> pd.DataFrame:
-        return stats_prepass_rows(self.cache, queries, self._pairs(queries, allowed))
+    def prepass(self, queries: dict, routes: "dict | None" = None) -> pd.DataFrame:
+        return stats_prepass_rows(self.cache, queries, self._pairs(queries, routes))
 
     def execute(
-        self, queries: dict, k: int, allowed: "dict | None" = None
+        self, queries: dict, k: int, routes: "dict | None" = None, filter_ef=None
     ) -> pd.DataFrame:
-        return exec_rows(self.cache, queries, self._pairs(queries, allowed), k)
+        """``filter_ef`` (shard → Elias-Fano docid set, functions/ef.py;
+        ~2 bytes/member crosses the wire instead of int64s) is decoded once
+        per call, for this worker's shards only."""
+        allowed = None
+        if filter_ef is not None:
+            from ..functions.ef import ef_decode
+
+            allowed = {s: ef_decode(filter_ef[s])[0] for s in self.shards if s in filter_ef}
+        return exec_rows(self.cache, queries, self._pairs(queries, routes), k, allowed)
+
+    def il(self, queries: dict) -> pd.DataFrame:
+        return il_rows(self.cache, queries, self._pairs(queries, None))
 
     def score(self, queries: dict) -> pd.DataFrame:
-        pairs = [(q, s) for s in self.shards for q in queries]
-        return score_docs_rows(self.cache, queries, pairs)
+        return score_docs_rows(self.cache, queries, self._pairs(queries, None))
 
 
 class QueryService:
-    """Persistent query serving over an index: ``num_actors`` raw Ray actors,
-    shards assigned round-robin, index state loaded exactly once per actor
-    (the distributed analog of the reference's static ``READER``)."""
+    """Query serving over an index: ``num_actors`` raw Ray actors, shards
+    assigned round-robin, index state loaded exactly once per actor (the
+    distributed analog of the reference's static ``READER``). Each worker
+    pins one CPU; ``num_actors=None`` starts ``min(8, shards, CPUs − 1)``
+    workers, leaving a CPU of the cluster for the tasks that run beside
+    the service. A context manager: ``with`` shuts the workers down."""
 
-    def __init__(self, index_dir: str, num_actors: int = 8, route: bool = True):
+    def __init__(
+        self, index_dir: str, num_actors: int | None = None, route: bool = True
+    ):
         import ray
 
         shards = list_shards(index_dir)
         if not shards:
             raise ValueError(f"no shards in {index_dir}")
+        if num_actors is None:
+            num_actors = min(8, int(ray.cluster_resources().get("CPU", 1)) - 1)
         n = max(1, min(num_actors, len(shards)))
         groups = [shards[i::n] for i in range(n)]
         worker_cls = ray.remote(num_cpus=1)(_ServiceWorker)
@@ -824,18 +560,26 @@ class QueryService:
         self.shards = shards
         self.index_dir = index_dir
         self.route = route
-        ray.get([w.ping.remote() for w in self.workers])  # block until loaded
+        try:
+            ray.get([w.ping.remote() for w in self.workers])  # block until loaded
+        except BaseException:
+            self.shutdown()
+            raise
 
-    def _route(self, trees: dict) -> "dict | None":
-        """qid → shard SET via the term-Bloom sidecars (same guarantee as
-        the batch path: skipped shards are proven true negatives). None →
-        no routing (sidecars unavailable or routing disabled)."""
-        if not self.route:
-            return None
-        rm = _bloom_route_map(self.index_dir, self.shards, trees)
-        if rm is None:
-            return None
-        return {q: set(s) for q, s in rm.items()}
+    def __enter__(self) -> "QueryService":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
+
+    def _gather(self, method: str, *args, workers=None) -> pd.DataFrame:
+        """Call ``method`` on every worker (or on ``workers``) and
+        concatenate the row frames."""
+        import ray
+
+        ws = self.workers if workers is None else workers
+        outs = ray.get([getattr(w, method).remote(*args) for w in ws])
+        return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame()
 
     def warmup(self) -> int:
         """Prefault all postings mmaps across the workers (in parallel) so
@@ -866,35 +610,38 @@ class QueryService:
     def run(
         self, queries: list[tuple[str, str]], params: ModelParams, k: int = 100
     ) -> dict[str, list[tuple[str, float, int]]]:
-        import ray
+        """Same contract as :func:`run_queries`, over this service."""
+        return self._run(plan_queries(self.index_dir, queries, params), queries, params, k)
 
-        trees, score_stats, composite_qids = plan_queries(
-            self.index_dir, queries, params
-        )
+    def _run(self, plan, queries, params: ModelParams, k: int, filter_ef=None):
+        trees, score_stats, composite_qids = plan
         if not trees:
             return {qid: [] for qid, _ in queries}
-        allowed = self._route(trees)
-
-        def touched(g: list[int]) -> bool:
-            return allowed is None or any(
-                s in a for s in g for a in allowed.values()
-            )
-
+        # qid → shards via the term-Bloom sidecars; None = every shard
+        routes = _bloom_route_map(self.index_dir, self.shards, trees) if self.route else None
+        LAST_ROUTE_STATS.clear()
+        LAST_ROUTE_STATS.update(
+            {
+                "queries": len(trees),
+                "shard_tasks_full": len(self.shards) * len(trees),
+                "shard_tasks_routed": sum(
+                    len(self.shards) if routes is None else len(routes[q]) for q in trees
+                ),
+            }
+        )
+        # only the workers holding a routed shard get an RPC; none at all
+        # when every query routes nowhere (≡ the full fan-out's zero rows)
         live = [
-            (w, g) for w, g in zip(self.workers, self.groups) if touched(g)
+            w
+            for w, g in zip(self.workers, self.groups)
+            if routes is None or any(s in r for s in g for r in routes.values())
         ]
         if composite_qids:
-            payload_a = {q: (trees[q], params) for q in composite_qids}
-            pres = ray.get(
-                [w.prepass.remote(payload_a, allowed) for w, _ in live]
-            )
-            if pres:
-                apply_prepass(score_stats, pd.concat(pres))
-        payload_b = {q: (trees[q], params, score_stats[q]) for q in trees}
-        outs = ray.get([w.execute.remote(payload_b, k, allowed) for w, _ in live])
-        if not outs:
-            return {qid: [] for qid, _ in queries}
-        return merge_results(pd.concat(outs), queries, params, k)
+            payload = {q: (trees[q], params) for q in composite_qids}
+            apply_prepass(score_stats, self._gather("prepass", payload, routes, workers=live))
+        payload = {q: (trees[q], params, score_stats[q]) for q in trees}
+        rows = self._gather("execute", payload, k, routes, filter_ef, workers=live)
+        return merge_results(rows, queries, params, k)
 
     def score_documents(
         self,
@@ -902,31 +649,23 @@ class QueryService:
         params: ModelParams,
         want: dict[str, list[int]],
     ) -> pd.DataFrame:
-        """Service twin of the standalone :func:`score_documents` — same
-        plan → prepass → requested-docid scoring, but over the persistent
-        workers (state already loaded) instead of a fresh actor pool."""
-        import ray
+        """Same contract as the one-shot :func:`score_documents`, over this
+        service."""
+        return self._score(plan_queries(self.index_dir, queries, params), params, want)
 
-        trees, score_stats, composite_qids = plan_queries(
-            self.index_dir, queries, params
-        )
+    def _score(self, plan, params: ModelParams, want: dict) -> pd.DataFrame:
+        trees, score_stats, composite_qids = plan
         if composite_qids:
-            payload_a = {q: (trees[q], params) for q in composite_qids}
-            pre = pd.concat(
-                ray.get([w.prepass.remote(payload_a) for w in self.workers])
-            )
-            apply_prepass(score_stats, pre)
-        payload_b = {
-            q: (trees[q], params, score_stats[q], sorted(want.get(q, [])))
+            payload = {q: (trees[q], params) for q in composite_qids}
+            apply_prepass(score_stats, self._gather("prepass", payload))
+        payload = {
+            q: (trees[q], params, score_stats[q], sorted(want[q]))
             for q in trees
             if want.get(q)
         }
-        if not payload_b:
+        if not payload:
             return pd.DataFrame({"qid": [], "docid": [], "score": []})
-        return pd.concat(
-            ray.get([w.score.remote(payload_b) for w in self.workers]),
-            ignore_index=True,
-        )
+        return self._gather("score", payload)
 
     def shutdown(self):
         import ray
@@ -934,3 +673,94 @@ class QueryService:
         for w in self.workers:
             ray.kill(w)
         self.workers = []
+
+
+# ---------------------------------------------------------------------------
+# one-shot calls: plan on the driver, run on a service started for the call
+# ---------------------------------------------------------------------------
+
+
+def run_queries(
+    index_dir: str,
+    queries: list[tuple[str, str]],
+    params: ModelParams,
+    *,
+    k: int = 100,
+    filter_ef: "dict[int, bytes] | None" = None,
+    route: bool = True,
+) -> dict[str, list[tuple[str, float, int]]]:
+    """Run ``[(qid, qtext)]`` against the index; returns
+    ``qid → [(url, score, docid)]`` top-k in final rank order.
+    Queries that fail to parse or match nothing map to ``[]``; when no
+    query is valid, no worker starts.
+    ``filter_ef`` (shard → Elias-Fano bytes from query/filtered.py)
+    restricts the ranking to an allowed docid set at query time; global
+    collection stats are unchanged (Lucene filter-query semantics).
+    ``route`` (default ON) skips shards whose term-Bloom sidecar proves
+    they hold none of a query's terms — result-identical by construction
+    (VERDICT r3 #9), with the fan-out drop recorded in
+    :data:`LAST_ROUTE_STATS`."""
+    plan = plan_queries(index_dir, queries, params)
+    if not plan[0]:
+        return {qid: [] for qid, _ in queries}
+    with QueryService(index_dir, route=route) as svc:
+        return svc._run(plan, queries, params, k, filter_ef)
+
+
+def run_il_queries(
+    index_dir: str,
+    queries: list[tuple[str, str]],
+    *,
+    ranked: bool = True,
+    k: int = 100,
+) -> dict[str, list[tuple[str, float, int]]]:
+    """Il-root result emission (QryEval.java:295-314, sortResult:323-345,
+    postingComparator{Rk,Urk}): when the query root is an inverted-list op,
+    the reference emits the InvList itself — ranked models score each doc
+    by tf sorted (tf desc, extid asc); unranked models score 1.0 sorted
+    extid asc; output capped at min(k, 100) exactly as the reference's
+    ``Math.min(100, …)`` bound. Returns ``qid → [(url, score, docid)]``."""
+    from .parser import parse_il_query
+
+    params = ModelParams(model="RankedBoolean" if ranked else "UnrankedBoolean")
+    analyzer = resolve_analyzer(index_dir)
+    trees = {}
+    for qid, qtext in queries:
+        t = parse_il_query(qtext, analyzer)
+        if t is not None:
+            trees[qid] = (t, params)
+    results: dict[str, list[tuple[str, float, int]]] = {qid: [] for qid, _ in queries}
+    if not trees:
+        return results
+    with QueryService(index_dir) as svc:
+        rows = svc._gather("il", trees)
+    bound = min(k, 100)  # the reference's hard 100-row cap
+    for qid, g in rows.groupby("qid"):
+        if ranked:
+            g = g.sort_values(["tf", "url"], ascending=[False, True], kind="mergesort")
+            scores = g["tf"].astype(float)
+        else:
+            g = g.sort_values("url", kind="mergesort")
+            scores = pd.Series(1.0, index=g.index)
+        g = g.head(bound)
+        results[str(qid)] = list(
+            zip(g["url"], scores.loc[g.index], g["docid"].astype(int))
+        )
+    return results
+
+
+def score_documents(
+    index_dir: str,
+    queries: list[tuple[str, str]],
+    params: ModelParams,
+    want: dict[str, list[int]],
+) -> pd.DataFrame:
+    """→ (qid, docid, score) for each requested docid that MATCHES its query
+    (non-matching docs are absent, mirroring the reference's score-map probe
+    returning 0.0/absent). Queries that fail to parse contribute no rows;
+    when no query is valid, no worker starts."""
+    plan = plan_queries(index_dir, queries, params)
+    if not plan[0]:
+        return pd.DataFrame({"qid": [], "docid": [], "score": []})
+    with QueryService(index_dir) as svc:
+        return svc._score(plan, params, want)

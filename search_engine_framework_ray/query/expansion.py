@@ -29,6 +29,7 @@ rows per query.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,25 +213,17 @@ def run_queries_with_expansion(
     string — the ``fbExpansionQueryFile`` content).
 
     Both query rounds run through ONE ``QueryService`` (pass ``service`` to
-    reuse a caller's pool), so shard state loads once — the distributed
-    analog of the reference's static ``READER`` — instead of two actor-pool
-    spin-ups per expansion call. Results are identical to ``run_queries``
+    reuse a caller's), so shard state loads once — the distributed
+    analog of the reference's static ``READER`` — instead of once per
+    round. Results are identical to ``run_queries``
     (same plan/merge path).
     """
-    own = None
-    if service is None:
-        # leave ≥1 CPU unpinned: the service workers are raw num_cpus=1
-        # actors, and the term-vector fetch tasks between the two rounds
-        # must still be schedulable on a small (e.g. 4-cpu test) cluster
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        own = service = QueryService(index_dir, num_actors=max(1, min(8, ncpu - 1)))
-    try:
+    # the service's default size leaves a CPU free for the term-vector
+    # fetch tasks that run between the two rounds
+    with nullcontext(service) if service is not None else QueryService(index_dir) as svc:
         return _expand_with_service(
-            service, index_dir, queries, params, fb, k, initial_ranking
+            svc, index_dir, queries, params, fb, k, initial_ranking
         )
-    finally:
-        if own is not None:
-            own.shutdown()
 
 
 def _expand_with_service(

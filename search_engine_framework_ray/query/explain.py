@@ -3,9 +3,9 @@ document) pair, the per-term decomposition of the BM25 score (tf, df,
 doclen, and each term's contribution) so a relevance engineer can answer
 "why does THIS doc rank THERE" without re-deriving the arithmetic.
 
-Scale shape: requested docs route to their shards (the ScoreDocsActor
-convention), each shard task decodes ONLY the query terms' posting lists
-and probes the requested ids with one searchsorted pass per term — no
+Scale shape: requested docs route to their shards (as in
+``score_documents``), each shard task decodes ONLY the query terms'
+posting lists and probes the requested ids with one searchsorted pass per term — no
 full evaluation, no top-k machinery, no corpus scan. df/N/avgdl come from
 the global termstats/stats metadata (the same values the distributed
 query path scores with, so contributions sum EXACTLY to the ranking

@@ -67,12 +67,14 @@ def engine(ray_session, tiny_corpus, tmp_path_factory):
     return index_dir, oracle
 
 
-def _compare(engine_fixture, queries, model):
+def _compare(engine_fixture, queries, model, run=None):
+    """Engine vs oracle; ``run(queries, params)`` defaults to the one-shot
+    ``run_queries`` over the fixture index."""
     from search_engine_framework_ray.query.executor import run_queries
 
     index_dir, oracle = engine_fixture
     params = ModelParams(model=model)
-    got = run_queries(index_dir, queries, params)
+    got = run(queries, params) if run else run_queries(index_dir, queries, params)
     n_nonempty = 0
     for qid, qtext in queries:
         qtree = parse_query(qtext, model)
@@ -174,40 +176,67 @@ def test_il_root_emission(engine):
     assert mixed["bad1"] == [] and mixed["bad2"] == [] and mixed["ok"]
 
 
-def test_query_service_matches_batch_path(engine):
-    import ray
+def test_query_service_matches_oracle(engine):
+    """A service kept open over several calls (2 workers over 3 shards)
+    ranks and scores exactly like the oracle."""
+    from search_engine_framework_ray.query.executor import QueryService
 
-    from search_engine_framework_ray.query.executor import QueryService, run_queries
-
-    index_dir, _ = engine
-    params = ModelParams(model="BM25")
-    qs = BM25_QUERIES[:5]
-    want = run_queries(index_dir, qs, params)
-    svc = QueryService(index_dir, num_actors=2)
-    try:
-        got = svc.run(qs, params)
-    finally:
-        svc.shutdown()
-    assert got == want
+    with QueryService(engine[0], num_actors=2) as svc:
+        _compare(engine, BM25_QUERIES[:5], "BM25", run=svc.run)
+        _compare(engine, INDRI_QUERIES[:5], "Indri", run=svc.run)
 
 
 def test_query_service_warmup_prefaults_and_is_pure(engine):
     """warmup() makes the postings + termstats resident (returns the byte
-    count) and changes NO query result — first query after warmup equals
-    the batch path byte-for-byte."""
-    from search_engine_framework_ray.query.executor import QueryService, run_queries
+    count) and changes NO query result — the first queries after warmup
+    equal the oracle."""
+    from search_engine_framework_ray.query.executor import QueryService
+
+    with QueryService(engine[0], num_actors=2) as svc:
+        assert svc.warmup() > 0
+        _compare(engine, BM25_QUERIES[:3], "BM25", run=svc.run)
+
+
+def test_one_shot_calls_leave_every_cpu_free(engine, monkeypatch):
+    """run_queries, run_il_queries and score_documents shut their service
+    down before returning, also when the call raises after its workers
+    started: every CPU is free again within a bounded wait, with no gc
+    pass (a build started right after a batch call that held CPUs ran at
+    55-60 % of its rate)."""
+    import time
+
+    import ray
+
+    from search_engine_framework_ray.query import executor
 
     index_dir, _ = engine
     params = ModelParams(model="BM25")
-    qs = BM25_QUERIES[:3]
-    want = run_queries(index_dir, qs, params)
-    svc = QueryService(index_dir, num_actors=2)
-    try:
-        nbytes = svc.warmup()
-        assert nbytes > 0
-        assert svc.run(qs, params) == want
-    finally:
-        svc.shutdown()
+
+    def wait_all_cpus_free():
+        total = ray.cluster_resources()["CPU"]
+        deadline = time.monotonic() + 15
+        while ray.available_resources().get("CPU", 0) < total:
+            assert time.monotonic() < deadline, "CPUs still held after the call"
+            time.sleep(0.05)
+
+    wait_all_cpus_free()
+    assert executor.run_queries(index_dir, BM25_QUERIES[:2], params)["s1"]
+    wait_all_cpus_free()
+    assert executor.run_il_queries(index_dir, [("q", "#SYN(search engine)")])["q"]
+    wait_all_cpus_free()
+    got = executor.score_documents(
+        index_dir, [("q", "search engine")], params, {"q": list(range(50))}
+    )
+    assert len(got)
+    wait_all_cpus_free()
+
+    def failing_merge(*_a, **_kw):
+        raise RuntimeError("merge failed")
+
+    monkeypatch.setattr(executor, "merge_results", failing_merge)
+    with pytest.raises(RuntimeError, match="merge failed"):
+        executor.run_queries(index_dir, BM25_QUERIES[:2], params)
+    wait_all_cpus_free()
 
 
 def _random_queries(seed: int, n: int) -> list[tuple[str, str]]:
@@ -638,12 +667,29 @@ def test_explain_contributions_sum_to_score(filtered_corpus):
     assert (one_term >= 1).all()
 
 
+def test_all_invalid_queries_start_no_service(engine, monkeypatch):
+    """A call whose every query fails to parse answers [] / no rows on the
+    driver: no service, so no worker, starts."""
+    from search_engine_framework_ray.query import executor
+
+    def no_service(*_a, **_kw):
+        raise AssertionError("a query service started")
+
+    monkeypatch.setattr(executor, "QueryService", no_service)
+    index_dir, _ = engine
+    bad = [("a", "#FOO(x y)"), ("b", ")")]
+    params = ModelParams(model="BM25")
+    assert executor.run_queries(index_dir, bad, params) == {"a": [], "b": []}
+    assert executor.run_il_queries(index_dir, bad) == {"a": [], "b": []}
+    assert executor.score_documents(index_dir, bad, params, {"a": [1]}).empty
+
+
 def test_bloom_routing_identical_and_prunes(engine):
-    """Bloom fan-out routing (VERDICT r3 #9): the routed batch path must be
-    result-identical to the full fan-out (no false negatives ⇒ a skipped
-    shard is a proven true negative) while launching fewer shard tasks for
-    terms confined to few shards; a term absent everywhere routes to zero
-    shards and returns []."""
+    """Bloom fan-out routing (VERDICT r3 #9): the routed query service must
+    be result-identical to the full fan-out (``route=False``; no false
+    negatives ⇒ a skipped shard is a proven true negative) while launching
+    fewer shard tasks for terms confined to few shards; a term absent
+    everywhere routes to zero shards and returns []."""
     from search_engine_framework_ray.query import executor
     from search_engine_framework_ray.query.executor import run_queries
 
@@ -653,6 +699,7 @@ def test_bloom_routing_identical_and_prunes(engine):
         ("r2", "#NEAR/1(search engine)"),
         ("r3", "obama.inlink"),
         ("r4", "zzznotaterm"),
+        ("r5", "#NEAR/2(web page)"),
     ]
     for model in ("BM25", "Indri", "RankedBoolean"):
         params = ModelParams(model=model)
@@ -664,25 +711,3 @@ def test_bloom_routing_identical_and_prunes(engine):
         # the nowhere-term query routes to zero shards
         assert stats["shard_tasks_routed"] < stats["shard_tasks_full"]
         assert routed["r4"] == []
-
-
-def test_query_service_bloom_routing_identical(engine):
-    """The serving path routes through the same sidecars as the batch path
-    and must stay result-identical, including nowhere-term queries."""
-    from search_engine_framework_ray.query.executor import QueryService
-
-    index_dir, _ = engine
-    qs = [
-        ("v1", "search engine"),
-        ("v2", "zzznotaterm"),
-        ("v3", "#NEAR/2(web page)"),
-    ]
-    params = ModelParams(model="BM25")
-    routed = QueryService(index_dir, num_actors=2)
-    plain = QueryService(index_dir, num_actors=2, route=False)
-    try:
-        assert routed.run(qs, params) == plain.run(qs, params)
-        assert routed.run(qs, params)["v2"] == []
-    finally:
-        routed.shutdown()
-        plain.shutdown()
