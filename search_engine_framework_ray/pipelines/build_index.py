@@ -25,6 +25,20 @@ Scale notes:
   their termstats partials are re-emitted from ``terms.parquet`` on disk.
 * heavy-hitter terms (Zipf head / stopword-adjacent) are salted by source
   shard in the global stats reduce (north_rule skew handling).
+
+Scheduling: the corpus and ``terms.parquet`` reads go through
+``_read_parquet``, which turns Ray Data's per-operator resource reservation
+off for that dataset. The reservation splits half the cluster evenly among
+the plan's map operators (extract, ``build_group``, ``reduce_bucket``), which
+on 4 CPUs leaves each of them one task slot. A sort barrier (the two
+groupbys) sits between each of these stages and the next, so no two of
+them ever have input at once and the split buys nothing; with the
+reservation off the stage that runs gets every CPU, and the shard builds
+run side by side. Ray Data's cluster-wide CPU and object-store limits
+still apply. The setting goes on the dataset's own
+``DataContext`` (``read_parquet`` copies the process-wide one, and every
+dataset derived from the read shares the copy), so other pipelines in the
+same process keep Ray Data's defaults.
 """
 
 from __future__ import annotations
@@ -32,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -214,29 +227,12 @@ def _corpus_meta(corpus_paths) -> list[list]:
     ]
 
 
-@contextmanager
-def _shuffle_ctx(strategy: str):
-    """The measured sort-vs-hash shuffle trade as a knob (BASELINE.md
-    round-2 experiment; VERDICT r3 #8): ``'sort'`` (default) wins at
-    sandbox partition sizes — the hash path's 64 aggregator actors cost
-    ~13× at 2M-row builds; ``'hash'`` is the multi-node scale-out path at
-    ≫10M-row partitions, where the actor overhead amortizes and the global
-    sort barrier disappears. Results are bit-identical either way (pinned
-    by ``tests/test_build.py::test_hash_shuffle_build_identical``)."""
-    if strategy == "sort":
-        yield
-        return
-    if strategy != "hash":
-        raise ValueError(f"shuffle must be 'sort' or 'hash', got {strategy!r}")
-    from ray.data.context import ShuffleStrategy
-
-    ctx = ray.data.DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    try:
-        yield
-    finally:
-        ctx.shuffle_strategy = prev
+def _read_parquet(paths, columns: list[str]) -> ray.data.Dataset:
+    """``ray.data.read_parquet`` with the op-resource reservation off on the
+    new dataset's own context (module docstring, "Scheduling")."""
+    ds = ray.data.read_parquet(paths, columns=columns)
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 def build_index(
@@ -251,7 +247,6 @@ def build_index(
     block_size: int = 128,
     verify_golden: bool = False,
     plain_source: "PlainSource | None" = None,
-    shuffle: str = "sort",
 ) -> dict:
     """Build (or resume) the sharded index. Returns a build report."""
     t_start = time.monotonic()
@@ -368,11 +363,11 @@ def build_index(
         ):
             if c:
                 cols.append(c)
-        ds = ray.data.read_parquet(corpus_paths, columns=cols)
+        ds = _read_parquet(corpus_paths, cols)
         ds = ds.map_batches(plain_source.to_doc_rows, batch_format="pyarrow")
     else:
         doc_cols = ["url", "html", "lang"] + (["text"] if verify_golden else [])
-        ds = ray.data.read_parquet(corpus_paths, columns=doc_cols)
+        ds = _read_parquet(corpus_paths, doc_cols)
         if lang_filter:
             ds = ds.map_batches(
                 lambda t, lf=lang_filter: t.filter(pa.compute.equal(t["lang"], lf)),
@@ -390,11 +385,8 @@ def build_index(
         include_forward=include_forward,
     )
 
-    with _shuffle_ctx(shuffle):
-        termstats = ds.groupby(
-            "part", num_partitions=num_shards if shuffle == "hash" else None
-        ).map_groups(build_group, batch_format="pandas")
-        bucket_report = _reduce_termstats(termstats, index_dir)
+    termstats = ds.groupby("part").map_groups(build_group, batch_format="pandas")
+    bucket_report = _reduce_termstats(termstats, index_dir)
 
     n_docs, fields, built_shards = _collect_shard_stats(index_dir)
     stats = {
@@ -706,11 +698,11 @@ def extend_index(
         ):
             if c:
                 cols.append(c)
-        ds = ray.data.read_parquet(corpus_paths, columns=cols)
+        ds = _read_parquet(corpus_paths, cols)
         ds = ds.map_batches(plain_source.to_doc_rows, batch_format="pyarrow")
     else:
         doc_cols = ["url", "html", "lang"] + (["text"] if verify_golden else [])
-        ds = ray.data.read_parquet(corpus_paths, columns=doc_cols)
+        ds = _read_parquet(corpus_paths, doc_cols)
         if lang_filter:
             ds = ds.map_batches(
                 lambda t, lf=lang_filter: t.filter(pa.compute.equal(t["lang"], lf)),
@@ -738,7 +730,7 @@ def extend_index(
         os.path.join(lay.shard_dir(index_dir, s), "terms.parquet")
         for s in lay.list_shards(index_dir)
     ]
-    all_terms = ray.data.read_parquet(term_paths, columns=["field", "term", "df", "ctf"])
+    all_terms = _read_parquet(term_paths, ["field", "term", "df", "ctf"])
     bucket_report = _reduce_termstats(all_terms, index_dir)
 
     n_docs, fields, built_shards = _collect_shard_stats(index_dir)

@@ -394,17 +394,14 @@ def compact_index(
         # reclaim changed per-term df/ctf: re-reduce the global termstats
         # buckets from the OUTPUT shards' terms tables (one narrow shuffle,
         # same machinery as the build / extend)
-        from .build_index import _reduce_termstats
+        from .build_index import _read_parquet, _reduce_termstats
 
         terms_files = [
             os.path.join(lay.shard_dir(out_dir, s), "terms.parquet")
             for s in range(len(groups))
         ]
         _reduce_termstats(
-            ray.data.read_parquet(
-                terms_files, columns=["field", "term", "df", "ctf"]
-            ),
-            out_dir,
+            _read_parquet(terms_files, ["field", "term", "df", "ctf"]), out_dir
         )
     else:
         # Global termstats are a pure function of per-term (df, ctf) sums,

@@ -215,19 +215,18 @@ def test_results_identical_across_shard_counts(built_index, tiny_corpus, tmp_pat
         assert r1 == r2, f"{model} results differ across shard counts"
 
 
-def test_hash_shuffle_build_identical(built_index, tiny_corpus, tmp_path_factory):
-    """The shuffle-strategy knob (VERDICT r3 #8 / BASELINE.md round-2
-    experiment): shuffle='hash' routes the big groupby through Ray's
-    HASH_SHUFFLE aggregator actors instead of the sort-based exchange —
-    the multi-node ≫10M-row scale path — and must produce a bit-identical
-    index: same docmap, same global termstats, same query results."""
+def test_fresh_rebuild_identical(built_index, tiny_corpus, tmp_path_factory):
+    """A second build of the same corpus into a fresh directory, with its
+    shard builds running side by side, gives the same index: the same bytes
+    in every non-JSON file, docmap, global termstats and query results."""
     from search_engine_framework_ray.pipelines.build_index import build_index
     from search_engine_framework_ray.query.executor import run_queries
     from search_engine_framework_ray.query.models import ModelParams
 
     index_dir, _ = built_index
-    other = str(tmp_path_factory.mktemp("hashshuf") / "index")
-    build_index(tiny_corpus, other, num_shards=3, verify_golden=True, shuffle="hash")
+    other = str(tmp_path_factory.mktemp("rebuild") / "index")
+    build_index(tiny_corpus, other, num_shards=3, verify_golden=True)
+    assert _index_hash(other) == _index_hash(index_dir)
 
     for d1, d2, sub in ((index_dir, other, "docmap"), (index_dir, other, "termstats")):
         rows = {}
@@ -238,21 +237,85 @@ def test_hash_shuffle_build_identical(built_index, tiny_corpus, tmp_path_factory
             ):
                 acc.extend(map(tuple, pq.read_table(p).to_pandas().itertuples(index=False)))
             rows[d] = sorted(acc)
-        assert rows[d1] == rows[d2], f"{sub} differs under hash shuffle"
+        assert rows[d1] == rows[d2], f"{sub} differs in the rebuild"
 
     qs = [("q1", "search engine"), ("q2", "#NEAR/2(web page)")]
     for model in ("BM25", "Indri"):
         assert run_queries(index_dir, qs, ModelParams(model=model)) == run_queries(
             other, qs, ModelParams(model=model)
-        ), f"{model} results differ under hash shuffle"
+        ), f"{model} results differ in the rebuild"
 
-    with pytest.raises(ValueError, match="shuffle"):
-        build_index(
-            tiny_corpus,
-            str(tmp_path_factory.mktemp("badshuf") / "index"),
-            num_shards=3,
-            shuffle="nope",
+
+def _task_spans(name: str, t0: float, t1: float, want: int) -> list[tuple[float, float]]:
+    """(start, end) of the ``name`` tasks that started in [t0, t1], read from
+    Ray's task timeline. Workers report task events asynchronously, so poll
+    for up to 10 s until ``want`` of them are in."""
+    import time
+
+    import ray
+
+    deadline = time.monotonic() + 10
+    while True:
+        spans = sorted(
+            (e["ts"] / 1e6, (e["ts"] + e["dur"]) / 1e6)
+            for e in ray.timeline()
+            if e.get("ph") == "X"
+            and e.get("cat", "").startswith("task::")
+            and name in e["cat"]
+            and t0 <= e["ts"] / 1e6 <= t1
         )
+        if len(spans) >= want or time.monotonic() > deadline:
+            return spans
+        time.sleep(0.5)
+
+
+def test_shard_builds_run_side_by_side(ray_session, tiny_corpus, tmp_path):
+    """Ray Data's per-operator reservation would hold every map stage of the
+    build to one task on the 4-CPU test cluster; the build turns it off on
+    its own datasets, so shard builds overlap in time, and the process-wide
+    DataContext is left as it was by build, extend and compaction."""
+    import time
+
+    import pyarrow as pa
+    import ray.data
+
+    from search_engine_framework_ray.pipelines.build_index import (
+        build_index,
+        extend_index,
+    )
+    from search_engine_framework_ray.pipelines.compact import compact_index
+    from search_engine_framework_ray.state.index_layout import write_tombstones
+
+    def reserved():
+        return ray.data.DataContext.get_current().op_resource_reservation_enabled
+
+    before = reserved()
+    index_dir = str(tmp_path / "index")
+    t0 = time.time()
+    build_index(tiny_corpus, index_dir, num_shards=4)
+    t1 = time.time()
+    assert reserved() == before
+
+    spans = _task_spans("build_group", t0, t1, want=4)
+    assert len(spans) >= 4, spans
+    assert any(
+        b_start < a_end for i, (_, a_end) in enumerate(spans) for b_start, _ in spans[i + 1 :]
+    ), f"build_group tasks ran one after another: {spans}"
+
+    # a delta whose urls are disjoint from the base corpus
+    delta = pq.read_table(sorted(glob.glob(f"{tiny_corpus}/*.parquet"))[0]).slice(0, 20)
+    urls = [u.replace("https://", "https://delta.") for u in delta["url"].to_pylist()]
+    delta = delta.set_column(
+        delta.schema.get_field_index("url"), "url", pa.array(urls, pa.string())
+    )
+    delta_path = str(tmp_path / "delta.parquet")
+    pq.write_table(delta, delta_path)
+    extend_index(delta_path, index_dir, num_shards=1)
+    assert reserved() == before
+
+    write_tombstones(index_dir, [0, 1])
+    compact_index(index_dir, str(tmp_path / "compact"), apply_deletes=True)
+    assert reserved() == before
 
 
 def test_shard_bloom_sidecar():
