@@ -13,8 +13,8 @@ evaluator — see ``SURVEY.md``) as a distributed system on Ray Data:
 * **Query engine**: the reference's structured query language
   (``#AND #OR #SUM #WAND #WSUM #SYN #NEAR/n #WINDOW/n``, field-qualified
   terms) and its four retrieval models (UnrankedBoolean, RankedBoolean,
-  BM25, Indri) evaluated rank-identically by an actor pool holding mmap'd
-  index shards, with a final per-query top-k heap merge.
+  BM25, Indri) evaluated rank-identically by query-service actors holding
+  mmap'd index shards, with a final per-query top-k heap merge.
 * **Corpus utilities** a 100 TB training-data pipeline needs: exact and
   near-duplicate detection (MinHash-LSH, SimHash, n-gram Jaccard,
   embedding cosine), ANN similarity search, language id, quality scoring,

@@ -11,9 +11,9 @@ Ray-Data-first dataflow::
                                                   #  docid range's docs + its inbound
                                                   #  anchors; SPIMI build, varbyte encode,
                                                   #  atomic shard dir + lineage manifest
-      └─ (emitted termstats partials)
-         salted_groupby_sum((field,term))         # ☁ small shuffle of per-shard partials
-      └─ groupby(bucket).map_groups(write)        # hash-bucketed global termstats files
+      └─ (emitted termstats partials)             # one combined row per (shard, field, term)
+      └─ groupby(bucket).map_groups(sum, write)   # ☁ small shuffle → hash-bucketed
+                                                  #  global termstats files
 
 Scale notes:
 * docids are the global rank of ``url`` (dense, deterministic): per-partition
@@ -23,22 +23,18 @@ Scale notes:
   so two runs at different parallelism produce byte-identical indexes.
 * resume: shards whose manifest matches the input fingerprint are skipped;
   their termstats partials are re-emitted from ``terms.parquet`` on disk.
-* heavy-hitter terms (Zipf head / stopword-adjacent) are salted by source
-  shard in the global stats reduce (north_rule skew handling).
+* heavy-hitter terms (Zipf head / stopword-adjacent) need no salting in the
+  global stats reduce: each shard build already combined a term to ONE
+  partial row, so a term reaches its bucket as at most ``num_shards`` rows
+  (``_reduce_termstats``).
 
 Scheduling: the corpus and ``terms.parquet`` reads go through
-``_read_parquet``, which turns Ray Data's per-operator resource reservation
-off for that dataset. The reservation splits half the cluster evenly among
-the plan's map operators (extract, ``build_group``, ``reduce_bucket``), which
-on 4 CPUs leaves each of them one task slot. A sort barrier (the two
-groupbys) sits between each of these stages and the next, so no two of
-them ever have input at once and the split buys nothing; with the
-reservation off the stage that runs gets every CPU, and the shard builds
-run side by side. Ray Data's cluster-wide CPU and object-store limits
-still apply. The setting goes on the dataset's own
-``DataContext`` (``read_parquet`` copies the process-wide one, and every
-dataset derived from the read shares the copy), so other pipelines in the
-same process keep Ray Data's defaults.
+``pipelines.unreserved``, which turns Ray Data's per-operator resource
+reservation off on that dataset's own context. The reservation would give
+each of the plan's map operators (extract, ``build_group``,
+``reduce_bucket``) one task slot on 4 CPUs, although a sort barrier (the
+two groupbys) sits between each of them and the next; with it off the
+shard builds run side by side.
 """
 
 from __future__ import annotations
@@ -60,6 +56,7 @@ from ..sources.corpus import hash_det
 from ..state import index_layout as lay
 from ..state.shard import build_shard, read_manifest_terms
 from ..state.index_layout import read_manifest, write_stats
+from . import unreserved
 
 TERMSTATS_BUCKETS = 64
 
@@ -227,14 +224,6 @@ def _corpus_meta(corpus_paths) -> list[list]:
     ]
 
 
-def _read_parquet(paths, columns: list[str]) -> ray.data.Dataset:
-    """``ray.data.read_parquet`` with the op-resource reservation off on the
-    new dataset's own context (module docstring, "Scheduling")."""
-    ds = ray.data.read_parquet(paths, columns=columns)
-    ds.context.op_resource_reservation_enabled = False
-    return ds
-
-
 def build_index(
     corpus_paths: str | list[str],
     index_dir: str,
@@ -363,11 +352,11 @@ def build_index(
         ):
             if c:
                 cols.append(c)
-        ds = _read_parquet(corpus_paths, cols)
+        ds = unreserved(ray.data.read_parquet(corpus_paths, columns=cols))
         ds = ds.map_batches(plain_source.to_doc_rows, batch_format="pyarrow")
     else:
         doc_cols = ["url", "html", "lang"] + (["text"] if verify_golden else [])
-        ds = _read_parquet(corpus_paths, doc_cols)
+        ds = unreserved(ray.data.read_parquet(corpus_paths, columns=doc_cols))
         if lang_filter:
             ds = ds.map_batches(
                 lambda t, lf=lang_filter: t.filter(pa.compute.equal(t["lang"], lf)),
@@ -539,15 +528,12 @@ def _reduce_termstats(termstats, index_dir: str) -> pd.DataFrame:
         os.replace(tmp, os.path.join(tdir, f"bucket={b:04d}.parquet"))
         return pd.DataFrame({"bucket": [b], "n_terms": [len(out)]})
 
-    report_ds = (
+    return (
         termstats.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(reduce_bucket, batch_format="pandas")
+        .to_pandas()
     )
-    bucket_report = report_ds.to_pandas()
-    if os.environ.get("GRAFT_BUILD_STATS"):
-        print(report_ds.stats())
-    return bucket_report
 
 
 def _collect_shard_stats(index_dir: str):
@@ -698,11 +684,11 @@ def extend_index(
         ):
             if c:
                 cols.append(c)
-        ds = _read_parquet(corpus_paths, cols)
+        ds = unreserved(ray.data.read_parquet(corpus_paths, columns=cols))
         ds = ds.map_batches(plain_source.to_doc_rows, batch_format="pyarrow")
     else:
         doc_cols = ["url", "html", "lang"] + (["text"] if verify_golden else [])
-        ds = _read_parquet(corpus_paths, doc_cols)
+        ds = unreserved(ray.data.read_parquet(corpus_paths, columns=doc_cols))
         if lang_filter:
             ds = ds.map_batches(
                 lambda t, lf=lang_filter: t.filter(pa.compute.equal(t["lang"], lf)),
@@ -730,7 +716,9 @@ def extend_index(
         os.path.join(lay.shard_dir(index_dir, s), "terms.parquet")
         for s in lay.list_shards(index_dir)
     ]
-    all_terms = _read_parquet(term_paths, ["field", "term", "df", "ctf"])
+    all_terms = unreserved(
+        ray.data.read_parquet(term_paths, columns=["field", "term", "df", "ctf"])
+    )
     bucket_report = _reduce_termstats(all_terms, index_dir)
 
     n_docs, fields, built_shards = _collect_shard_stats(index_dir)

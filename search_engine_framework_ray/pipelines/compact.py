@@ -57,6 +57,7 @@ import ray.data
 from ..functions.codec import decode_postings, encode_postings
 from ..state import index_layout as lay
 from ..state.shard import TERMS_SCHEMA
+from . import unreserved
 
 __all__ = ["compact_index"]
 
@@ -394,14 +395,17 @@ def compact_index(
         # reclaim changed per-term df/ctf: re-reduce the global termstats
         # buckets from the OUTPUT shards' terms tables (one narrow shuffle,
         # same machinery as the build / extend)
-        from .build_index import _read_parquet, _reduce_termstats
+        from .build_index import _reduce_termstats
 
         terms_files = [
             os.path.join(lay.shard_dir(out_dir, s), "terms.parquet")
             for s in range(len(groups))
         ]
         _reduce_termstats(
-            _read_parquet(terms_files, ["field", "term", "df", "ctf"]), out_dir
+            unreserved(
+                ray.data.read_parquet(terms_files, columns=["field", "term", "df", "ctf"])
+            ),
+            out_dir,
         )
     else:
         # Global termstats are a pure function of per-term (df, ctf) sums,

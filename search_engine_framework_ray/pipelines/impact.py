@@ -38,6 +38,8 @@ import ray
 import ray.data
 
 from ..functions.analysis import AnalyzerConfig, DEFAULT_ANALYZER, analyze
+from . import unreserved
+
 
 def _bucket_of(terms: pd.Series, n_buckets: int) -> np.ndarray:
     h = terms.map(
@@ -84,7 +86,9 @@ def build_impact_index(
             return out_dir
         shutil.rmtree(out_dir, ignore_errors=True)
 
-    ds = ray.data.read_parquet(corpus_path, columns=[id_col, text_col])
+    # reservation off (pipelines.unreserved): the quantize map ahead of
+    # write_partitioned's bucket sort otherwise runs one task at a time
+    ds = unreserved(ray.data.read_parquet(corpus_path, columns=[id_col, text_col]))
     n_docs = ds.count()  # metadata-only on an untransformed read; idf N is
     #                      ALL docs (READER.numDocs() semantics, like BM25)
 

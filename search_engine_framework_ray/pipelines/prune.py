@@ -38,6 +38,7 @@ import ray.data
 
 from ..sources.corpus import hash_det
 from ..state import index_layout as lay
+from . import unreserved
 
 __all__ = ["prune_postings", "pruned_bm25_topk"]
 
@@ -106,10 +107,15 @@ def prune_postings(
         g = g.groupby("term", sort=False).head(keep_top)
         return g[["term", "docid", "tf"]]
 
+    # reservation off (pipelines.unreserved): the local_cut map and the
+    # map after the bucket sort (global_cut, and pruned_bm25_topk's
+    # assign_shard) each run one task at a time under it
     return (
-        ray.data.from_items(
-            [{"shard": int(s)} for s in shards],
-            override_num_blocks=max(1, len(shards)),
+        unreserved(
+            ray.data.from_items(
+                [{"shard": int(s)} for s in shards],
+                override_num_blocks=max(1, len(shards)),
+            )
         )
         .map_batches(local_cut, batch_format="pandas")
         .groupby("bucket")

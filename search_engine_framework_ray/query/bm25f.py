@@ -24,10 +24,13 @@ docids, so
 * pass 2 — scoring: every shard computes tf~ fully vectorized from mmap'd
   postings + per-field doclen arrays using GLOBAL field stats (stats.json
   sum_doclen/doccount — identical on every shard, so scores are globally
-  comparable), keeps a local top-k, and the driver merges k*S rows.
+  comparable), drops deleted docs, keeps a local top-k, and the driver
+  merges k*S rows.
 
-Both passes run as ``map_batches`` actor pools holding a ``_ShardCache``
-(mmap once per actor, not per batch).
+Both passes run on one ``QueryService`` started for the call
+(``_ServiceWorker.map_shards``), so each shard loads once per call.
+Deleted docs still count in the union df (Lucene liveDocs/docFreq
+semantics: a compaction reclaims the stats).
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .executor import _ShardCache, list_shards
+from ..state.index_layout import read_stats
+from .executor import QueryService, _ShardCache
+from .kernels import _member_mask
 
 # field accumulation order is part of the spec: IEEE float addition is not
 # associative, so the SQL twin writes the B + title + url + inlink chain in
@@ -43,9 +48,9 @@ from .executor import _ShardCache, list_shards
 FIELD_ORDER = ("body", "title", "url", "inlink")
 
 
-def _union_df_rows(cache: _ShardCache, terms: list[str], fields, pairs) -> pd.DataFrame:
+def _union_df_rows(cache: _ShardCache, shards, terms: list[str], fields) -> pd.DataFrame:
     out = {"term": [], "df": []}
-    for shard in pairs:
+    for shard in shards:
         view = cache.view(int(shard))
         for t in terms:
             docs = [
@@ -59,28 +64,19 @@ def _union_df_rows(cache: _ShardCache, terms: list[str], fields, pairs) -> pd.Da
     return pd.DataFrame({"term": out["term"], "df": pd.Series(out["df"], dtype="int64")})
 
 
-class UnionDfActor:
-    def __init__(self, index_dir: str, terms: list[str], fields):
-        self.cache = _ShardCache(index_dir)
-        self.terms, self.fields = terms, fields
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return _union_df_rows(self.cache, self.terms, self.fields, batch["shard"])
-
-
 def _score_rows(
     cache: _ShardCache,
+    shards,
     terms: list[str],
     weights: dict[str, float],
     idf: dict[str, float],
     k1: float,
     b: float,
     k: int,
-    pairs,
 ) -> pd.DataFrame:
     out = {"docid": [], "url": [], "score": []}
     fields = [f for f in FIELD_ORDER if f in weights]
-    for shard in pairs:
+    for shard in shards:
         view = cache.view(int(shard))
         # per-field avg doclen from GLOBAL build-time stats (identical on
         # every shard — cross-shard score comparability, executor.py:37)
@@ -113,6 +109,9 @@ def _score_rows(
                 tft[np.searchsorted(union, d)] += (weights[f] * tf.astype(np.float64)) / bf
             m = tft > 0
             score[m] += idf[t] * (tft[m] / (k1 + tft[m]))
+        if len(cache.tombstones):  # deleted docs drop before the top-k cut
+            keep = ~_member_mask(cache.tombstones, union)
+            union, score = union[keep], score[keep]
         order = np.lexsort((union, -score))[:k]
         docids = union[order]
         out["docid"].extend(int(d) for d in docids)
@@ -127,21 +126,6 @@ def _score_rows(
     )
 
 
-class Bm25fActor:
-    def __init__(self, index_dir: str, spec_ref):
-        import ray
-
-        self.cache = _ShardCache(index_dir)
-        self.spec = ray.get(spec_ref)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = self.spec
-        return _score_rows(
-            self.cache, s["terms"], s["weights"], s["idf"],
-            s["k1"], s["b"], s["k"], batch["shard"],
-        )
-
-
 def bm25f_topk(
     index_dir: str,
     terms: list[str],
@@ -150,53 +134,18 @@ def bm25f_topk(
     k: int = 15,
     k1: float = 1.2,
     b: float = 0.75,
-    concurrency: int | None = None,
 ) -> pd.DataFrame:
     """→ (docid, url, score) global top-k, (score desc, docid) order."""
-    import ray
-    import ray.data
-
-    shards = list_shards(index_dir)
-    if not shards:
-        raise ValueError(f"no shards in {index_dir}")
-    if concurrency is None:
-        concurrency = max(1, min(len(shards), 8))
     fields = [f for f in FIELD_ORDER if f in weights]
-    work = [{"shard": s} for s in shards]
-    bsz = max(1, len(work) // (concurrency * 2) or 1)
-
-    local = (
-        ray.data.from_items(work)
-        .map_batches(
-            UnionDfActor,
-            fn_constructor_kwargs={"index_dir": index_dir, "terms": terms, "fields": fields},
-            batch_format="pandas",
-            concurrency=(1, concurrency),
-            batch_size=bsz,
-        )
-        .to_pandas()
-    )
-    n_docs = _ShardCache(index_dir).stats["n_docs"]
-    gdf = local.groupby("term")["df"].sum() if len(local) else pd.Series(dtype="int64")
-    idf = {
-        t: float(np.log((n_docs - int(gdf.get(t, 0)) + 0.5) / (int(gdf.get(t, 0)) + 0.5)))
-        for t in terms
-    }
-
-    spec_ref = ray.put(
-        {"terms": terms, "weights": weights, "idf": idf, "k1": k1, "b": b, "k": k}
-    )
-    rows = (
-        ray.data.from_items(work)
-        .map_batches(
-            Bm25fActor,
-            fn_constructor_kwargs={"index_dir": index_dir, "spec_ref": spec_ref},
-            batch_format="pandas",
-            concurrency=(1, concurrency),
-            batch_size=bsz,
-        )
-        .to_pandas()
-    )
+    n_docs = read_stats(index_dir)["n_docs"]
+    with QueryService(index_dir) as svc:
+        local = svc._gather("map_shards", _union_df_rows, terms, fields)
+        gdf = local.groupby("term")["df"].sum() if len(local) else pd.Series(dtype="int64")
+        idf = {
+            t: float(np.log((n_docs - int(gdf.get(t, 0)) + 0.5) / (int(gdf.get(t, 0)) + 0.5)))
+            for t in terms
+        }
+        rows = svc._gather("map_shards", _score_rows, terms, weights, idf, k1, b, k)
     return (
         rows.sort_values(["score", "docid"], ascending=[False, True], kind="mergesort")
         .head(k)

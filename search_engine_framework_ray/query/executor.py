@@ -5,9 +5,11 @@ fixed group of shards loaded once, one RPC per query batch (the distributed
 analog of the reference's static ``READER``; the one place we drop below
 the Dataset API, as SURVEY.md §0 allows for a shared long-lived index).
 The one-shot functions :func:`run_queries`, :func:`run_il_queries` and
-:func:`score_documents` plan on the driver, start a service for the call
-and shut it down before returning; callers with many calls over one index
-keep one service open instead.
+:func:`score_documents` here, and ``bm25f_topk`` (``query/bm25f.py``) and
+``passage_bm25_topk`` (``query/passage.py``) through
+``_ServiceWorker.map_shards``, plan on the driver, start a service for the
+call and shut it down before returning; callers with many calls over one
+index keep one service open instead.
 
 Shape (SURVEY.md §3.1): driver parses queries and resolves **global**
 term stats from the build-time ``termstats`` store; queries whose scored
@@ -57,28 +59,22 @@ class ShardView:
 
 
 class _ShardCache:
-    def __init__(self, index_dir: str, maxsize: int = 8):
+    def __init__(self, index_dir: str):
         self.index_dir = index_dir
         self.stats = read_stats(index_dir)
         # delete list (state/index_layout.py write_tombstones), loaded once
         # per worker like every other index artifact; sorted int64
         self.tombstones = load_tombstones(index_dir)
-        self._cache: OrderedDict[int, ShardReader] = OrderedDict()
-        self.maxsize = maxsize
+        self._readers: dict[int, ShardReader] = {}
         # worker-held composite inverted-list cache (see Evaluator.il_cache):
         # the stats prepass populates it, the scoring pass reuses it — one
         # positional evaluation per (query, shard) instead of two
         self.il_cache: dict = {}
 
     def view(self, shard: int) -> ShardView:
-        r = self._cache.get(shard)
+        r = self._readers.get(shard)
         if r is None:
-            r = ShardReader(self.index_dir, shard)
-            self._cache[shard] = r
-            if len(self._cache) > self.maxsize:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(shard)
+            r = self._readers[shard] = ShardReader(self.index_dir, shard)
         return ShardView(r, self.stats)
 
 
@@ -477,7 +473,7 @@ class _ServiceWorker:
     """One worker serving a fixed group of shards (loaded once)."""
 
     def __init__(self, index_dir: str, shards: list[int]):
-        self.cache = _ShardCache(index_dir, maxsize=len(shards) + 1)
+        self.cache = _ShardCache(index_dir)
         self.shards = shards
         for s in shards:  # eager load: mmap + term dict once
             self.cache.view(s)
@@ -532,6 +528,12 @@ class _ServiceWorker:
 
     def score(self, queries: dict) -> pd.DataFrame:
         return score_docs_rows(self.cache, queries, self._pairs(queries, None))
+
+    def map_shards(self, fn, *args) -> pd.DataFrame:
+        """``fn(cache, shards, *args)`` over this worker's shard group — the
+        hook for per-shard passes defined outside this module
+        (``query/bm25f.py``, ``query/passage.py``)."""
+        return fn(self.cache, self.shards, *args)
 
 
 class QueryService:

@@ -15,10 +15,11 @@ constant (B = 1), the classic fixed-window passage model; ``idf`` uses
 the GLOBAL document df from the index's termstats store, so scores are
 comparable across shards.
 
-Distributed shape (the ``query/bm25f.py`` contract): one actor-pool pass
-over the shard list, each actor mmap-opens its shards once
-(``_ShardCache``), decodes POSITIONAL postings for the query terms only,
-and scans windows fully vectorized per document (per-term
+Distributed shape (the ``query/bm25f.py`` contract): one pass on a
+``QueryService`` started for the call (``_ServiceWorker.map_shards``);
+each worker holds its shards open (``_ShardCache``), decodes POSITIONAL
+postings for the query terms only, drops deleted docs, and scans windows
+fully vectorized per document (per-term
 ``searchsorted(starts+W) − searchsorted(starts)`` over the sorted
 position arrays — no per-position Python). Each shard returns its local
 top-k; the driver merges k·S rows. Per-shard work is proportional to the
@@ -39,7 +40,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .executor import _ShardCache, list_shards, load_term_stats
+from ..state.index_layout import read_stats
+from .executor import QueryService, _ShardCache, load_term_stats
+from .kernels import _member_mask
 
 __all__ = ["passage_bm25_topk"]
 
@@ -50,12 +53,12 @@ def _round_away(v: np.ndarray) -> np.ndarray:
 
 def _passage_rows(
     cache: _ShardCache,
+    shards,
     terms: list[str],
     idf: dict[str, float],
     k1: float,
     window: int,
     k: int,
-    shards,
 ) -> pd.DataFrame:
     out = {"docid": [], "start_pos": [], "score_micros": []}
     for shard in shards:
@@ -72,6 +75,8 @@ def _passage_rows(
         if not all_docs:
             continue
         union = np.unique(np.concatenate(all_docs))
+        if len(cache.tombstones):  # deleted docs drop before the top-k cut
+            union = union[~_member_mask(cache.tombstones, union)]
         # per-doc window scan: per-term sorted position slices +
         # searchsorted range counts over the candidate starts
         doc_best: list[tuple[int, int, int]] = []  # (docid, start, micros)
@@ -108,21 +113,6 @@ def _passage_rows(
     )
 
 
-class PassageActor:
-    def __init__(self, index_dir: str, spec_ref):
-        import ray
-
-        self.cache = _ShardCache(index_dir)
-        self.spec = ray.get(spec_ref)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = self.spec
-        return _passage_rows(
-            self.cache, s["terms"], s["idf"], s["k1"], s["window"], s["k"],
-            batch["shard"],
-        )
-
-
 def passage_bm25_topk(
     index_dir: str,
     terms: list[str],
@@ -130,44 +120,19 @@ def passage_bm25_topk(
     window: int = 16,
     k: int = 10,
     k1: float = 1.2,
-    concurrency: int | None = None,
 ) -> pd.DataFrame:
     """→ global top-k ``(docid, start_pos, score_micros)`` in
     ``(score_micros desc, docid asc)`` order; ``start_pos`` is the best
     window's first position (engine position base: 0-based raw-token
     offsets, gap-preserving)."""
-    import ray
-    import ray.data
-
-    shards = list_shards(index_dir)
-    if not shards:
-        raise ValueError(f"no shards in {index_dir}")
-    if concurrency is None:
-        concurrency = max(1, min(len(shards), 8))
-
-    stats = _ShardCache(index_dir).stats
-    n_docs = float(stats["n_docs"])
+    n_docs = float(read_stats(index_dir)["n_docs"])
     got = load_term_stats(index_dir, {("body", t) for t in terms})
     idf = {}
     for t in terms:
         df = got.get(("body", t), (0, 0))[0]
         idf[t] = float(np.log((n_docs - df + 0.5) / (df + 0.5)))
-
-    spec_ref = ray.put(
-        {"terms": terms, "idf": idf, "k1": k1, "window": window, "k": k}
-    )
-    work = [{"shard": s} for s in shards]
-    rows = (
-        ray.data.from_items(work)
-        .map_batches(
-            PassageActor,
-            fn_constructor_kwargs={"index_dir": index_dir, "spec_ref": spec_ref},
-            batch_format="pandas",
-            concurrency=(1, concurrency),
-            batch_size=max(1, len(work) // (concurrency * 2) or 1),
-        )
-        .to_pandas()
-    )
+    with QueryService(index_dir) as svc:
+        rows = svc._gather("map_shards", _passage_rows, terms, idf, k1, window, k)
     return (
         rows.sort_values(
             ["score_micros", "docid"], ascending=[False, True], kind="mergesort"

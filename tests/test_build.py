@@ -273,7 +273,8 @@ def test_shard_builds_run_side_by_side(ray_session, tiny_corpus, tmp_path):
     """Ray Data's per-operator reservation would hold every map stage of the
     build to one task on the 4-CPU test cluster; the build turns it off on
     its own datasets, so shard builds overlap in time, and the process-wide
-    DataContext is left as it was by build, extend and compaction."""
+    DataContext is left as it was by build, extend, compaction, pruning and
+    the impact build (which turn it off the same way)."""
     import time
 
     import pyarrow as pa
@@ -315,6 +316,18 @@ def test_shard_builds_run_side_by_side(ray_session, tiny_corpus, tmp_path):
 
     write_tombstones(index_dir, [0, 1])
     compact_index(index_dir, str(tmp_path / "compact"), apply_deletes=True)
+    assert reserved() == before
+
+    from search_engine_framework_ray.pipelines.impact import build_impact_index
+    from search_engine_framework_ray.pipelines.prune import pruned_bm25_topk
+
+    assert len(pruned_bm25_topk(index_dir, ["search"], keep_top=5, k=5))
+    assert reserved() == before
+    texts_path = str(tmp_path / "texts.parquet")
+    pq.write_table(
+        pa.table({"doc_id": [0, 1, 2], "text": ["a b", "b c c", "a c"]}), texts_path
+    )
+    build_impact_index(texts_path, str(tmp_path / "impact"), n_buckets=4)
     assert reserved() == before
 
 

@@ -68,6 +68,37 @@ def test_deletes_apply_before_topk_cut(del_index):
     assert top2[0][0] not in {d for d, _ in after}
 
 
+def _bm25f(idx, k=100):
+    from search_engine_framework_ray.query.bm25f import bm25f_topk
+
+    out = bm25f_topk(idx, ["apple", "banana"], {"body": 1.0}, k=k)
+    return list(zip(out["docid"].astype(int), out["score"]))
+
+
+def _passage(idx, k=100):
+    from search_engine_framework_ray.query.passage import passage_bm25_topk
+
+    out = passage_bm25_topk(idx, ["apple", "banana"], window=2, k=k)
+    return list(zip(out["docid"].astype(int), out["score_micros"]))
+
+
+@pytest.mark.parametrize("rank", [_bm25f, _passage], ids=["bm25f", "passage"])
+def test_deletes_filter_field_and_passage_rankers(del_index, rank):
+    before = rank(del_index)
+    assert {d for d, _ in before} == set(range(6))
+    write_tombstones(del_index, [1, 4])
+    after = rank(del_index)
+    assert {d for d, _ in after} == {0, 2, 3, 5}
+    # surviving docs: scores BIT-identical (BM25F's union df keeps counting
+    # the deleted docs, as every per-field df does)
+    bmap = dict(before)
+    for d, s in after:
+        assert s == bmap[d]
+    # a deleted top doc is replaced at the k cut
+    write_tombstones(del_index, [after[0][0]])
+    assert rank(del_index, k=2) == after[1:3]
+
+
 def test_delete_merge_idempotent(del_index):
     assert write_tombstones(del_index, [3, 1]) == 2
     assert write_tombstones(del_index, [1, 5]) == 3

@@ -198,16 +198,18 @@ def test_query_service_warmup_prefaults_and_is_pure(engine):
 
 
 def test_one_shot_calls_leave_every_cpu_free(engine, monkeypatch):
-    """run_queries, run_il_queries and score_documents shut their service
-    down before returning, also when the call raises after its workers
-    started: every CPU is free again within a bounded wait, with no gc
-    pass (a build started right after a batch call that held CPUs ran at
-    55-60 % of its rate)."""
+    """run_queries, run_il_queries, score_documents, bm25f_topk and
+    passage_bm25_topk shut their service down before returning, also when
+    the call raises after its workers started: every CPU is free again
+    within a bounded wait, with no gc pass (a build started right after a
+    batch call that held CPUs ran at 55-60 % of its rate)."""
     import time
 
     import ray
 
     from search_engine_framework_ray.query import executor
+    from search_engine_framework_ray.query.bm25f import bm25f_topk
+    from search_engine_framework_ray.query.passage import passage_bm25_topk
 
     index_dir, _ = engine
     params = ModelParams(model="BM25")
@@ -228,6 +230,10 @@ def test_one_shot_calls_leave_every_cpu_free(engine, monkeypatch):
         index_dir, [("q", "search engine")], params, {"q": list(range(50))}
     )
     assert len(got)
+    wait_all_cpus_free()
+    assert len(bm25f_topk(index_dir, ["search"], {"body": 1.0}))
+    wait_all_cpus_free()
+    assert len(passage_bm25_topk(index_dir, ["search"]))
     wait_all_cpus_free()
 
     def failing_merge(*_a, **_kw):
