@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Benchmark harness — prints ONE JSON line:
 ``{"metric": ..., "value": <headline sec>, "unit": "sec", "queries": {...},
-"sf": ..., "num_cpus": N}``.
+"sf": ..., "num_cpus": N}``. N is ``$RAY_GRAFT_CPUS``, by default the
+number of CPUs this process may run on.
 
 Headline = wall seconds to build the full inverted index (Porter analyzer,
 all fields) over ``$GRAFT_SF_DIR/documents.parquet`` — the north-star
@@ -43,7 +44,7 @@ def _trials() -> int:
 def run_bench() -> dict:
     import ray
 
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ray.init(
         address="local",
@@ -71,50 +72,6 @@ def run_bench() -> dict:
     timings: dict[str, float] = {}
     all_trials: dict[str, list[float]] = {}
     n_trials = _trials()
-
-    # This box's demonstrated steady-state best per stage (sf0.1, 32 cpus;
-    # history in BASELINE.md rounds 1-3). Used ONLY to decide whether to
-    # spend extra trials: when the running min is far above a value this
-    # machine has repeatedly achieved, the window is loaded and more trials
-    # are worth their cost. A genuine regression still gets reported — the
-    # retry budget is bounded — it just gets a fair number of attempts
-    # first. Co-tenant load here oscillates on a ~minutes period, so a
-    # handful of extra ~5 s trials frequently spans a quiet window.
-    steady_best = {
-        "index_build": 3.0,
-        "shuffle_join_agg": 4.4,
-        "query_batch_data_path": 3.8,
-        "query_p50": 0.019,
-        "query_p90": 0.025,
-        "html_extract_index": 3.0,
-        "dedup_exact": 1.2,
-        "dedup_minhash": 3.7,
-        "dedup_simhash": 2.9,
-        "dedup_substring": 3.4,
-        "dedup_line": 3.4,
-        "global_quantiles": 2.3,
-        "curation": 4.1,
-        "ann_brute_8q": 0.47,
-        "window_tumbling": 2.1,
-        "window_sliding": 1.9,
-        "fb_expansion_4q": 1.5,  # one-service rewrite (was 6.4 across 2 pools)
-        "letor_features_2q": 1.2,  # one-service rewrite (was 4.5 across pools)
-        # round-4 stages (quiet-window re-measure, 32 cpus, sf0.1): the
-        # graph loops are sort-shuffle-overhead-bound at fixture scale
-        # (bucket count 8 vs 64 measured identical ±2%)
-        "pagerank_3iter": 18.3,
-        "connected_components": 6.1,
-        "compact_index": 0.31,
-        "impact_index_build": 2.0,
-        "dedup_minhash_distlabel": 24.0,
-        # round-5 stage: 1M-impression bucketed EM + alpha emit + IPS —
-        # log-size-driven (synthetic); sf0.1/32cpu steady 2.5 s
-        "click_pbm_ips_1m": 2.5,
-    }
-    # the reference table was measured at the default config; a different
-    # sf/cpu count changes the expected values, so disable the comparison
-    if sf_dir != "/root/testdata/sf0.1" or ncpu != 32:
-        steady_best = {}
 
     def fresh_session() -> None:
         """Restart the local Ray cluster: each stage is measured from a clean
@@ -152,21 +109,9 @@ def run_bench() -> dict:
         # decaying mid-stage — both cases stabilize with a few more trials
         # (measured: a loaded window reads 1.4-3x slow on trial 1 and trends
         # back toward the quiet-window value by trial 4-5).
-        def loaded_window() -> bool:
-            # min still ≥1.5x this box's demonstrated steady state → the
-            # whole stage so far ran under co-tenant load; allow a larger
-            # (still bounded) retry budget to span the load oscillation
-            ref = steady_best.get(name)
-            return ref is not None and min(runs) > 1.5 * ref
-
-        while (
-            len(runs) < n_trials + 3
-            and (
-                min(runs) < 3.0
-                or runs[-1] == min(runs)
-                or max(runs) / min(runs) > 1.8
-            )
-        ) or (len(runs) < n_trials + 7 and loaded_window()):
+        while len(runs) < n_trials + 3 and (
+            min(runs) < 3.0 or runs[-1] == min(runs) or max(runs) / min(runs) > 1.8
+        ):
             if setup is not None:
                 setup()
             t0 = time.monotonic()
@@ -246,18 +191,6 @@ def run_bench() -> dict:
             p90s.append(lat[int(len(lat) * 0.9)])
 
         for _ in range(n_trials):
-            latency_round()
-        # The per-stage adaptive retry (timeit) doesn't cover this custom
-        # block, and round-3 showed the p50 is the stage most exposed to a
-        # load burst (3.9x on a 10-query sample while every timeit stage
-        # stayed at/below round 1). A latency round is ~10 queries ≈ sub-
-        # second, so spanning the co-tenant oscillation is nearly free.
-        _p50_ref = steady_best.get("query_p50")
-        while (
-            len(p50s) < n_trials + 12
-            and _p50_ref is not None
-            and min(p50s) > 1.5 * _p50_ref
-        ):
             latency_round()
         svc.shutdown()
         all_trials["query_p50"] = [round(t, 4) for t in p50s]

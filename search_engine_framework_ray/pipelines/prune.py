@@ -22,7 +22,12 @@ Distributed shape:
   the shard boundaries, known from the manifests), so each group loads
   only its own shard's doclen column — per-task memory O(shard), and
   per-doc sums complete within one group (docid → shard is a function).
-  k·S rows reach the driver.
+  Each group drops the index's tombstoned docs before its top-k cut, so
+  deleted docs never rank and live ones fill the page; df and the
+  collection stats keep their pre-delete values, as on every QueryService
+  path. The ``prune_postings`` cut itself reads no delete list: which
+  postings survive, and so every survivor's score, is the same with or
+  without deletes. k·S rows reach the driver.
 """
 
 from __future__ import annotations
@@ -136,8 +141,10 @@ def pruned_bm25_topk(
     """→ (docid, score) top-k BM25 over the pruned postings, full-index
     global stats (see module doc)."""
     from ..query.executor import load_term_stats
+    from ..query.kernels import _member_mask
 
     stats = lay.read_stats(index_dir)
+    tomb = lay.load_tombstones(index_dir)
     n_docs = int(stats["n_docs"])
     fstats = stats["fields"][field]
     avg = float(np.float64(fstats["sum_doclen"]) / np.float64(fstats["doccount"]))
@@ -190,6 +197,8 @@ def pruned_bm25_topk(
             .reset_index()
         )
         agg = agg.rename(columns={"part": "score"})
+        if len(tomb):
+            agg = agg[~_member_mask(tomb, agg["docid"].to_numpy())]
         o = np.lexsort((agg["docid"].to_numpy(), -agg["score"].to_numpy()))[:k]
         return agg.iloc[o]
 

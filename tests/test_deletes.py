@@ -82,7 +82,16 @@ def _passage(idx, k=100):
     return list(zip(out["docid"].astype(int), out["score_micros"]))
 
 
-@pytest.mark.parametrize("rank", [_bm25f, _passage], ids=["bm25f", "passage"])
+def _pruned(idx, k=100):
+    from search_engine_framework_ray.pipelines.prune import pruned_bm25_topk
+
+    out = pruned_bm25_topk(idx, ["apple", "banana"], keep_top=10, k=k)
+    return list(zip(out["docid"].astype(int), out["score"]))
+
+
+@pytest.mark.parametrize(
+    "rank", [_bm25f, _passage, _pruned], ids=["bm25f", "passage", "pruned"]
+)
 def test_deletes_filter_field_and_passage_rankers(del_index, rank):
     before = rank(del_index)
     assert {d for d, _ in before} == set(range(6))

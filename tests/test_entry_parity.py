@@ -53,14 +53,6 @@ def test_sql_parity(name, ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
 
 
-def test_rows_only_queries_run(ray_session):
-    q = entrymod.queries()
-    for name in sorted(set(q) - set(SQL_CHECKED)):
-        out = pd.DataFrame(q[name](SF))
-        assert len(out) >= 0
-        assert out.columns.size >= 1
-
-
 def test_entry_smoke(ray_session):
     out = entrymod.entry()
     assert len(out) > 0
