@@ -1289,7 +1289,7 @@ def q_judgment_pool(sf_dir: str):
     b=0.0) — with per-doc provenance (which runs retrieved it, how many,
     best rank). Pools are built from already-reduced top-k lists, so the
     combine is driver-cheap at any corpus size; the three runs share one
-    index and one actor pool."""
+    index."""
     from search_engine_framework_ray.query.executor import run_queries
     from search_engine_framework_ray.query.models import ModelParams
 
@@ -2036,7 +2036,7 @@ def q_mm_pnm_decode(sf_dir: str):
     """REAL image decode under the driver hash (stages/multimodal.py
     ``decode_pnm``): deterministic binary P6 payloads (gradient rasters,
     size varying by doc, comment lines in every 5th header) synthesized
-    per doc, decoded by the stdlib+numpy Netpbm parser in an actor pool,
+    per doc, decoded by the stdlib+numpy Netpbm parser in map tasks,
     reduced to exact-integer stats. The SQL twin replays the generating
     arithmetic WITHOUT parsing — any header/raster misread breaks the
     hash, so this certifies a genuinely decoded codec leg (the PIL/ffmpeg
@@ -2052,10 +2052,9 @@ def q_mm_pnm_decode(sf_dir: str):
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     )
     decoded = synthesize_pnm_corpus(docs).map_batches(
-        DecodePnmStage,
+        DecodePnmStage(),
         batch_format="pyarrow",
         batch_size=64,  # binary payloads: small batches (module convention)
-        concurrency=(1, 4),
     )
 
     def stats(b: pd.DataFrame) -> pd.DataFrame:
@@ -2079,7 +2078,7 @@ def q_mm_wav_decode(sf_dir: str):
     """REAL audio decode under the driver hash (stages/multimodal.py
     ``decode_wav_pcm``): deterministic 16-bit PCM mono RIFF/WAVE payloads
     (length/rate varying by doc, junk LIST chunks in every 4th file)
-    decoded by the stdlib+numpy chunk walker in an actor pool and reduced
+    decoded by the stdlib+numpy chunk walker in map tasks and reduced
     to per-frame mean |amplitude| in exact integer micros. The SQL twin
     replays the waveform-generation arithmetic without parsing — a
     mis-walked chunk or mis-signed sample breaks the hash."""
@@ -2095,12 +2094,7 @@ def q_mm_wav_decode(sf_dir: str):
     )
     out = (
         synthesize_wav_corpus(docs)
-        .map_batches(
-            DecodeWavStage,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 4),
-        )
+        .map_batches(DecodeWavStage(), batch_format="pyarrow", batch_size=64)
         .to_pandas()
     )
     for c in out.columns:
@@ -2113,7 +2107,7 @@ def q_mm_bmp_decode(sf_dir: str):
     deterministic uncompressed Windows BMPs cycling 24-bit BGR / 16-bit
     X1R5G5B5 / 8-bit paletted variants, bottom-up and top-down rasters,
     and 0-3 bytes of row padding — decoded by the stdlib+numpy parser in
-    an actor pool and reduced to exact-integer stats. ``wsum`` weights
+    map tasks and reduced to exact-integer stats. ``wsum`` weights
     each pixel by its top-down position, so a missed orientation flip, a
     palette misread, a 5→8-bit expansion slip, or a padding-byte leak
     breaks the hash. The SQL twin replays the generation arithmetic
@@ -2131,10 +2125,9 @@ def q_mm_bmp_decode(sf_dir: str):
     out = (
         synthesize_bmp_corpus(docs)
         .map_batches(
-            DecodeBmpStage,
+            DecodeBmpStage(),
             batch_format="pyarrow",
             batch_size=64,  # binary payloads: small batches (module convention)
-            concurrency=(1, 4),
         )
         .to_pandas()
     )
@@ -2148,7 +2141,7 @@ def q_mm_qoi_decode(sf_dir: str):
     + ``encode_qoi``, the public QOI spec): per-doc pixel arithmetic
     chosen so the encoder emits EVERY op — RUN, INDEX (64-slot color
     cache), DIFF, LUMA, RGB, RGBA — then the sequential op-stream decoder
-    rebuilds the raster in an actor pool. Spec byte vectors in
+    rebuilds the raster in map tasks. Spec byte vectors in
     tests/test_stages.py pin the wire format against symmetric
     encoder/decoder bugs; the SQL twin replays the closed-form pixel
     arithmetic without parsing, and the position-weighted sum makes a
@@ -2165,12 +2158,7 @@ def q_mm_qoi_decode(sf_dir: str):
     )
     out = (
         synthesize_qoi_corpus(docs)
-        .map_batches(
-            DecodeQoiStage,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 4),
-        )
+        .map_batches(DecodeQoiStage(), batch_format="pyarrow", batch_size=64)
         .to_pandas()
     )
     for c in out.columns:
@@ -2245,7 +2233,7 @@ def q_incremental_neardup_warm(sf_dir: str):
     old = base.map_batches(side(True), batch_format="pyarrow")
     sigs_old = _minhash_sigs(
         old, n_perm=64, k_shingle=3, text_col="text", id_col="doc_id",
-        concurrency=4, strict_k=True,
+        strict_k=True,
     )
     shingles_old = minhash_shingle_store(old, k_shingle=3)
     pairs = minhash_probe_pairs(
@@ -2385,7 +2373,7 @@ def q_crawl_cycle(sf_dir: str):
         return b
 
     # the semi-join emits ~bucket-count tiny blocks; compact them so the
-    # probe's actor pool and band sort don't pay per-block fixed costs
+    # probe's sketch stage and band sort don't pay per-block fixed costs
     fresh_r = (
         fresh.map_batches(renum, batch_format="pandas")
         .repartition(2)
@@ -3064,7 +3052,7 @@ def q_langid(sf_dir: str):
     from search_engine_framework_ray.stages.textstats import LangIdStage
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = ds.map_batches(LangIdStage, batch_format="pandas", concurrency=(1, 2)).to_pandas()
+    out = ds.map_batches(LangIdStage(), batch_format="pandas").to_pandas()
     return out[["doc_id", "lang_pred"]].sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4338,7 +4326,7 @@ def q_mm_resize(sf_dir: str):
     """Image-resize plumbing under the driver hash: an 8×8 pixel grid is
     synthesized per doc from a pure integer formula (px[i] =
     (doc_id·31 + i) % 251 — SQL-replayable, no fake RNG), the REAL
-    ResizeImageStage actor pool area-pools it to 4×4 (exact 2×2 block
+    ResizeImageStage area-pools it to 4×4 (exact 2×2 block
     means — integer sums ≤ 1004, so f32 arithmetic is exact), and the
     exploded (doc_id, r, c, v_micros) rows must match the closed-form SQL
     (stages/multimodal.py)."""
@@ -4363,11 +4351,7 @@ def q_mm_resize(sf_dir: str):
         )
 
     small = ds.map_batches(synth_px, batch_format="pandas").map_batches(
-        ResizeImageStage,
-        fn_constructor_kwargs={"out_size": (4, 4)},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=(1, 4),
+        ResizeImageStage(out_size=(4, 4)), batch_format="pyarrow", batch_size=64
     )
 
     def explode(b):
@@ -4393,7 +4377,7 @@ def q_mm_resize(sf_dir: str):
 def q_mm_audio(sf_dir: str):
     """Audio frame-sampling plumbing under the driver hash: a 64-byte
     payload per doc from a pure byte formula ((doc_id + j) % 256), the
-    REAL AudioFrameSampleStage actor pool computes 16 frame energies
+    REAL AudioFrameSampleStage computes 16 frame energies
     (4-byte window means — exact in f32), exploded and hash-checked
     against the closed-form SQL (stages/multimodal.py)."""
     import pyarrow as pa
@@ -4419,10 +4403,7 @@ def q_mm_audio(sf_dir: str):
         )
 
     framed = ds.map_batches(synth_payload, batch_format="pandas").map_batches(
-        AudioFrameSampleStage,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=(1, 4),
+        AudioFrameSampleStage(), batch_format="pyarrow", batch_size=64
     )
 
     def explode(b):
@@ -4443,7 +4424,7 @@ def q_mm_audio(sf_dir: str):
 def q_mm_video(sf_dir: str):
     """Video frame-sampling plumbing under the driver hash: 128-byte
     payloads from the (doc_id + j) % 256 formula through the REAL
-    VideoFrameSampleStage actor pool (4 uniform-stride frame stripes ×
+    VideoFrameSampleStage (4 uniform-stride frame stripes ×
     16 two-byte window means, exact in f32), exploded to
     (doc_id, frame_idx, dim, v_micros) and hash-checked against the
     closed-form SQL (stages/multimodal.py)."""
@@ -4468,11 +4449,9 @@ def q_mm_video(sf_dir: str):
         )
 
     framed = ds.map_batches(synth_payload, batch_format="pandas").map_batches(
-        VideoFrameSampleStage,
-        fn_constructor_kwargs={"n_frames": 4, "feat_dim": 16},
+        VideoFrameSampleStage(n_frames=4, feat_dim=16),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=(1, 4),
     )
 
     def explode(b):
@@ -4876,7 +4855,7 @@ def q_gopher_gate(sf_dir: str):
 def q_mm_dedup(sf_dir: str):
     """Exact multimodal (binary-payload) dedup: the media blobs' CONTENT
     bytes (dimension header stripped — headers differ per doc, content is
-    what dedups) are md5'd inside the actor-pool batch pass, then the
+    what dedups) are md5'd inside the batch pass, then the
     standard exact-dedup coarse-bucket min-id clustering runs over the
     narrow (id, md5) table. Docs with doc_id % 10 < 2 carry a SHARED asset
     (the common-logo-reused-across-pages pattern that makes binary dedup
@@ -4949,7 +4928,7 @@ def q_blocklist(sf_dir: str):
 def q_mm_meta(sf_dir: str):
     """Multimodal plumbing, driver-checked end-to-end: documents →
     deterministic binary payload column (2-byte dimension header + text
-    bytes) → actor-pool MediaMetaStage parses the header FROM THE BYTES and
+    bytes) → MediaMetaStage parses the header FROM THE BYTES and
     fingerprints the whole blob. Real Arrow binary columns through the
     object store with small batches; only the codec is the sanctioned
     deterministic stand-in (stages/multimodal.py)."""
@@ -4965,8 +4944,7 @@ def q_mm_meta(sf_dir: str):
     )
     media = synthesize_media(ds)
     out = media.map_batches(
-        MediaMetaStage, batch_format="pyarrow", batch_size=64,
-        concurrency=(1, 4),
+        MediaMetaStage(), batch_format="pyarrow", batch_size=64
     ).to_pandas()
     for c in ("doc_id", "width", "height", "n_bytes"):
         out[c] = out[c].astype("int64")
@@ -7095,33 +7073,7 @@ def entry() -> Any:
     return pd.DataFrame(rows)
 
 
-def _gc_after(fn: "Callable[[str], Any]") -> "Callable[[str], Any]":
-    """Collect reference cycles after each entry runs: the streaming
-    executor's cyclic structures can keep finished actor-pool handles
-    alive, and on a small shared Ray session a few lingering MapWorker
-    actors pin enough CPUs to starve the NEXT entry's pool (observed as a
-    live deadlock in the test suite's 4-cpu session; tests/conftest.py
-    carries the same guard). The driver samples dozens of entries
-    sequentially in one session — same exposure, same cure."""
-    import functools
-
-    @functools.wraps(fn)
-    def wrapped(sf_dir: str):
-        import gc
-
-        try:
-            return fn(sf_dir)
-        finally:
-            gc.collect()
-
-    return wrapped
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {name: _gc_after(fn) for name, fn in _raw_queries().items()}
-
-
-def _raw_queries() -> dict[str, Callable[[str], Any]]:
     return {
         **{name: _ranked_entry(*row) for name, *row in _RANKED_ENTRIES},
         "clarity": q_clarity,

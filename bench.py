@@ -226,13 +226,13 @@ def run_bench() -> dict:
         timeit(
             "dedup_minhash",
             lambda: minhash_lsh_dedup(
-                ray.data.read_parquet(docs_path), threshold=0.8, concurrency=min(8, ncpu)
+                ray.data.read_parquet(docs_path), threshold=0.8
             ).count(),
         )
         timeit(
             "dedup_simhash",
             lambda: simhash_dedup(
-                ray.data.read_parquet(docs_path), max_hamming=3, concurrency=min(8, ncpu)
+                ray.data.read_parquet(docs_path), max_hamming=3
             ).count(),
         )
 
@@ -390,7 +390,7 @@ def run_bench() -> dict:
             "dedup_minhash_distlabel",
             lambda: minhash_lsh_dedup(
                 ray.data.read_parquet(docs_path), threshold=0.8,
-                concurrency=min(8, ncpu), driver_label_max_pairs=0,
+                driver_label_max_pairs=0,
             ).count(),
         )
 

@@ -1,2 +1,3 @@
 """Structured query engine: parser → AST → per-shard DAAT kernels → models →
-distributed executor (actor pool + heap merge) and single-process oracle."""
+distributed executor (QueryService shard workers + heap merge) and
+single-process oracle."""

@@ -1,2 +1,2 @@
-"""Reusable Ray Data stage callables (map_batches bodies, actor-pool classes,
+"""Reusable Ray Data stage callables (map_batches bodies, callable classes,
 aggregation helpers)."""

@@ -421,9 +421,9 @@ def curate(
     canonical min-id copy of its exact-text cluster), else 'ok'
     (``keep = 1``).
 
-    One streaming pass computes every per-doc signal (actor-pool language
-    id fused with token count and the sha1-low64 content hash), then ONE
-    narrow all-to-all — (id, n_words, lang_pred, hash) rows, text never
+    One streaming pass computes every per-doc signal (language id fused
+    with token count and the sha1-low64 content hash), then ONE narrow
+    all-to-all — (id, n_words, lang_pred, hash) rows, text never
     crosses the exchange — groups exact-text clusters to pick canonicals;
     the verdict is vectorized ``np.select`` over the joined signals. The
     same gates any real run would chain (quality → langid → dedup), here
@@ -432,7 +432,7 @@ def curate(
     from .dedup import _text_hash64
     from .textstats import LangIdStage
 
-    withlang = ds.map_batches(LangIdStage, batch_format="pandas", concurrency=(1, 4))
+    withlang = ds.map_batches(LangIdStage(), batch_format="pandas")
 
     def narrow(b: pd.DataFrame) -> pd.DataFrame:
         texts = b[text_col].fillna("")

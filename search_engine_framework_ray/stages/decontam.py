@@ -7,8 +7,9 @@ Scale shape
 -----------
 The eval side is benchmark-sized (thousands of documents, MBs) while the
 corpus side is the 100-TB stream, so this is the canonical broadcast
-pattern: hash every eval shingle ONCE into a sorted uint64 array,
-``ray.put`` it, and probe per corpus batch with ``np.isin`` (a vectorized
+pattern: hash every eval shingle ONCE into a sorted uint64 array, hand it
+to the stage instance (Ray Data puts the instance in the object store once
+per operator), and probe per corpus batch with ``np.isin`` (a vectorized
 sorted-array membership test) inside ``map_batches`` — zero shuffles, one
 streaming pass over the corpus. The broadcast array is 8 bytes per
 distinct eval shingle (~10 MB per ~1M shingles); if an "eval set" ever
@@ -40,17 +41,14 @@ def eval_shingle_set(texts, k: int = 8) -> np.ndarray:
 
 
 class DecontamStage:
-    """``map_batches`` actor: mark each doc with the number of distinct
+    """``map_batches`` callable: mark each doc with the number of distinct
     eval shingles it contains (``contam_ngrams``) and the boolean flag
-    (``contaminated``). The eval set arrives as an object-store ref so the
-    sorted array is shipped once per node, not once per batch."""
+    (``contaminated``). ``eval_sorted`` is :func:`eval_shingle_set`'s
+    array; it travels inside the instance, once per operator, not once per
+    batch."""
 
-    def __init__(self, eval_ref, k: int = 8, text_col: str = "text"):
-        import ray
-
-        self.eval_sorted = (
-            ray.get(eval_ref) if not isinstance(eval_ref, np.ndarray) else eval_ref
-        )
+    def __init__(self, eval_sorted: np.ndarray, k: int = 8, text_col: str = "text"):
+        self.eval_sorted = eval_sorted
         self.k = k
         self.text_col = text_col
 
@@ -74,33 +72,23 @@ def decontaminate(ds, eval_texts, k: int = 8, text_col: str = "text"):
     (an iterable of benchmark strings). Returns the Dataset with
     ``contam_ngrams`` / ``contaminated`` columns added; callers typically
     ``.filter(expr="not contaminated")`` next."""
-    import ray
-
-    ev = eval_shingle_set(eval_texts, k)
-    ev_ref = ray.put(ev)
-    return ds.map_batches(
-        DecontamStage,
-        fn_constructor_kwargs={"eval_ref": ev_ref, "k": k, "text_col": text_col},
-        batch_format="pandas",
-        concurrency=(1, 8),
-    )
+    stage = DecontamStage(eval_shingle_set(eval_texts, k), k, text_col)
+    return ds.map_batches(stage, batch_format="pandas")
 
 
 class EmbeddingDecontamStage:
-    """map_batches actor for SEMANTIC decontamination: the n-gram check
+    """map_batches callable for SEMANTIC decontamination: the n-gram check
     above misses paraphrased benchmark leakage, so production cleanups add
     an embedding-similarity pass (e.g. the Phi-family "semantic
     decontamination"): flag any corpus vector whose cosine against ANY
     eval vector reaches a threshold. Same broadcast shape — the eval
-    matrix (plus its row norms) ships once per actor via ``ray.put``; each
-    batch is one (batch × eval) matmul. Cosine uses the repo's pinned
-    kernel: ``floor(dot / (|a|·|b|) · 1e6 + 0.5)`` with zero-norm ≡ 0, the
+    matrix (plus its row norms) ships inside the instance, once per
+    operator; each batch is one (batch × eval) matmul. Cosine uses the
+    repo's pinned kernel: ``floor(dot / (|a|·|b|) · 1e6 + 0.5)`` with zero-norm ≡ 0, the
     exact expression DuckDB's ``list_cosine_similarity`` twin evaluates."""
 
-    def __init__(self, eval_ref, threshold_micros: int, emb_col: str, id_col: str):
-        import ray
-
-        E = np.asarray(ray.get(eval_ref), dtype=np.float64)
+    def __init__(self, eval_matrix, threshold_micros: int, emb_col: str, id_col: str):
+        E = np.asarray(eval_matrix, dtype=np.float64)
         self.E = E
         n = np.linalg.norm(E, axis=1)
         n[n == 0] = 1.0  # zero eval vector ⇒ cosine 0 (pinned convention)
@@ -136,23 +124,14 @@ def embedding_decontaminate(
     threshold_micros: int = 460_000,
     emb_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
 ):
     """Streaming semantic-decontamination pass → (id, max_cos_micros,
-    contaminated). Zero shuffles; eval matrix broadcast once. At a real
-    benchmark size (10⁴ × 10³ dims ≈ 100 MB) the per-batch matmul stays
-    cache-friendly; an eval set beyond ~10⁶ rows should switch to the
-    IVF-bucketed ANN join instead (stages/ann.py)."""
-    import ray
-
-    return ds.map_batches(
-        EmbeddingDecontamStage,
-        fn_constructor_kwargs={
-            "eval_ref": ray.put(np.asarray(eval_matrix, dtype=np.float64)),
-            "threshold_micros": threshold_micros,
-            "emb_col": emb_col,
-            "id_col": id_col,
-        },
-        batch_format="pandas",
-        concurrency=(1, concurrency),
-    )
+    contaminated). Zero shuffles; the eval matrix ships once, inside the
+    stage instance. At a real benchmark size (10⁴ × 10³ dims ≈ 100 MB)
+    the per-batch matmul stays cache-friendly, and Ray Data logs its
+    100 MiB UDF-size warning (``MapOperator.MAP_UDF_WARN_SIZE_THRESHOLD``):
+    expected here, the matrix is put once per operator, not per batch. An
+    eval set beyond ~10⁶ rows should switch to the IVF-bucketed ANN join
+    instead (stages/ann.py)."""
+    stage = EmbeddingDecontamStage(eval_matrix, threshold_micros, emb_col, id_col)
+    return ds.map_batches(stage, batch_format="pandas")

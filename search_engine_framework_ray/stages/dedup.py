@@ -123,7 +123,7 @@ def _shingles_strict(text: str, k: int) -> np.ndarray:
 
 
 class MinHashStage:
-    """map_batches actor: text → minhash signature (+ shingle count)."""
+    """map_batches callable: text → minhash signature (+ shingle count)."""
 
     def __init__(
         self,
@@ -176,12 +176,11 @@ def minhash_lsh_dedup(
     k_shingle: int = 5,
     bands: int = 16,
     threshold: float = 0.7,
-    concurrency: int = 4,
     driver_label_max_pairs: int | None = _DRIVER_LABEL_MAX_PAIRS,
 ) -> Dataset:
     """MinHash-LSH near-dup clustering → Dataset (id, cluster_id, is_dup).
 
-    Scale shape: signatures once (actor pool, materialized for reuse) →
+    Scale shape: signatures once (map tasks, materialized for reuse) →
     narrow band shuffle (:func:`_lsh_candidate_pairs_ds`) → candidate pairs.
     Below ``driver_label_max_pairs`` candidates (the common case — near-dup
     pairs are a small fraction of the corpus): signature-agreement verify
@@ -207,7 +206,6 @@ def minhash_lsh_dedup(
         k_shingle=k_shingle,
         text_col=text_col,
         id_col=id_col,
-        concurrency=concurrency,
     )
     cand_ds = _lsh_candidate_pairs_ds(
         sigs, id_col=id_col, n_perm=n_perm, bands=bands, max_bucket=_MAX_BUCKET,
@@ -274,28 +272,21 @@ def _minhash_sigs(
     k_shingle: int,
     text_col: str,
     id_col: str,
-    concurrency: int,
     strict_k: bool = False,
     extra_cols: tuple = (),
 ) -> Dataset:
     """Materialized (id, sig) sketches — reused by banding AND verification;
     at larger scale write_parquet here instead and read back (resumable
     sketch store)."""
-    return ds.map_batches(
-        MinHashStage,
-        fn_constructor_kwargs={
-            "n_perm": n_perm,
-            "k_shingle": k_shingle,
-            "text_col": text_col,
-            "id_col": id_col,
-            "strict_k": strict_k,
-            "extra_cols": extra_cols,
-        },
-        batch_format="pandas",
-        # autoscaling pool: a fixed-size pool can deadlock a small cluster
-        # (actors reserve every CPU, downstream shuffle tasks starve)
-        concurrency=(1, concurrency),
-    ).materialize()
+    stage = MinHashStage(
+        n_perm=n_perm,
+        k_shingle=k_shingle,
+        text_col=text_col,
+        id_col=id_col,
+        strict_k=strict_k,
+        extra_cols=extra_cols,
+    )
+    return ds.map_batches(stage, batch_format="pandas").materialize()
 
 
 _PAIR_BUCKETS = 256
@@ -854,7 +845,6 @@ def minhash_neardup_pairs(
     k_shingle: int = 3,
     n_perm: int = 64,
     bands: int = 32,
-    concurrency: int = 4,
 ) -> pd.DataFrame:
     """Near-duplicate pairs with their EXACT k-word-shingle Jaccard →
     (a < b, jaccard ≥ threshold). Candidates come from MinHash-LSH
@@ -871,7 +861,6 @@ def minhash_neardup_pairs(
         k_shingle=k_shingle,
         text_col=text_col,
         id_col=id_col,
-        concurrency=concurrency,
         strict_k=True,
     )
     cand = _lsh_candidate_pairs_ds(
@@ -910,9 +899,9 @@ def _md5_hash64(token: str) -> int:
 
 
 class SimHashStage:
-    """map_batches actor: text → weighted 64-bit SimHash over whitespace
+    """map_batches callable: text → weighted 64-bit SimHash over whitespace
     tokens. Token hashes are md5-low64 (SQL-reproducible) and cached per
-    actor (Zipf vocabulary → high hit rate); per-doc accumulation is a
+    task (Zipf vocabulary → high hit rate); per-doc accumulation is a
     vectorized (unique_tokens × 64) sign sum."""
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
@@ -958,15 +947,12 @@ def simhash64(text: str) -> int:
 
 
 def simhash_sketches(
-    ds: Dataset, *, id_col: str = "doc_id", text_col: str = "text", concurrency: int = 4
+    ds: Dataset, *, id_col: str = "doc_id", text_col: str = "text"
 ) -> Dataset:
     """(id, simhash) sketches, materialized ONCE (consumed by both banding
-    and labeling — never re-executes the actor-pool stage)."""
+    and labeling — never re-executes the sketch stage)."""
     return ds.map_batches(
-        SimHashStage,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pandas",
-        concurrency=(1, concurrency),
+        SimHashStage(text_col=text_col, id_col=id_col), batch_format="pandas"
     ).materialize()
 
 
@@ -1094,7 +1080,6 @@ def simhash_dedup(
     text_col: str = "text",
     max_hamming: int = 3,
     max_bucket: int | None = 256,
-    concurrency: int = 4,
     driver_label_max_pairs: int | None = _DRIVER_LABEL_MAX_PAIRS,
 ) -> Dataset:
     """SimHash near-dup clustering → Dataset (id, simhash, cluster_id,
@@ -1106,7 +1091,7 @@ def simhash_dedup(
     (:func:`_assign_clusters_distributed`) — identical min-id labels, zero
     driver-side pair state (VERDICT r3 #3). No full-corpus driver pull on
     either path."""
-    sk = simhash_sketches(ds, id_col=id_col, text_col=text_col, concurrency=concurrency)
+    sk = simhash_sketches(ds, id_col=id_col, text_col=text_col)
     pairs_ds = _simhash_pairs_ds(
         sk, id_col=id_col, max_hamming=max_hamming, max_bucket=max_bucket
     ).materialize()
@@ -1462,7 +1447,6 @@ def minhash_probe_pairs(
     k_shingle: int = 3,
     n_perm: int = 64,
     bands: int = 32,
-    concurrency: int = 4,
     sigs_old: "Dataset | None" = None,
     shingles_old: "Dataset | None" = None,
 ) -> pd.DataFrame:
@@ -1506,7 +1490,6 @@ def minhash_probe_pairs(
         k_shingle=k_shingle,
         text_col=text_col,
         id_col=id_col,
-        concurrency=concurrency,
         strict_k=True,
         extra_cols=("side",),
     )
@@ -1517,7 +1500,6 @@ def minhash_probe_pairs(
             k_shingle=k_shingle,
             text_col=text_col,
             id_col=id_col,
-            concurrency=concurrency,
             strict_k=True,
         )
     sig_old_tagged = sigs_old.map_batches(

@@ -2,7 +2,7 @@
 typed metadata. The decode libraries (PIL/ffmpeg/torchaudio) are NOT in this
 container, so THOSE codec legs are STUBBED — either a clearly-marked
 ``NotImplementedError`` or a deterministic fake decoder — while the Ray-side
-plumbing (schema, actor-pool stage shape, batch sizing for large payloads,
+plumbing (schema, callable stage shape, batch sizing for large payloads,
 output layout) is real and tested. One leg needs no external library and is
 REAL: the binary Netpbm family (:func:`decode_pnm`, P5/P6 with full header
 grammar and 8/16-bit rasters), driver-hash-certified by a generator-replay
@@ -26,7 +26,7 @@ import pyarrow as pa
 
 
 class DecodeImageStage:
-    """Actor-pool stage: payload → fixed-size feature vector.
+    """``map_batches`` stage: payload → fixed-size feature vector.
 
     ``backend="fake"`` derives a deterministic pseudo-decode from the payload
     bytes (stable across runs/partitioning — usable in tests and benchmarks);
@@ -63,7 +63,7 @@ class DecodeImageStage:
 
 
 class AudioFrameSampleStage:
-    """Actor-pool stage: audio payload → sampled frame energies (stub).
+    """``map_batches`` stage: audio payload → sampled frame energies (stub).
     Deterministic fake: frame energy = byte-window means."""
 
     def __init__(self, n_frames: int = 16, backend: str = "fake"):
@@ -90,7 +90,7 @@ class AudioFrameSampleStage:
 
 
 class ResizeImageStage:
-    """Actor-pool stage: decoded pixel grid → block-mean downsample to
+    """``map_batches`` stage: decoded pixel grid → block-mean downsample to
     ``out_size``. The RESIZE KERNEL itself is real vectorized numpy (area
     interpolation via reshape+mean when shapes divide, else strided
     nearest); only the upstream decode is faked in this container. Input
@@ -127,7 +127,7 @@ class ResizeImageStage:
 
 
 class VideoFrameSampleStage:
-    """Actor-pool stage: video payload → ``n_frames`` uniformly-sampled
+    """``map_batches`` stage: video payload → ``n_frames`` uniformly-sampled
     frame features (stub decode: fixed-stride byte stripes as frames; the
     uniform-stride sampling layout matches what a real ffmpeg-backed stage
     would emit — one row per (doc, frame) with a feature vector)."""
@@ -167,7 +167,7 @@ def synthesize_media(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     DuckDB ``chr(..)||chr(..)`` oracle reproduces the blob exactly) followed
     by the UTF-8 text bytes. Deterministic per doc_id — the sandbox's
     sanctioned stand-in for a crawl's image bytes; everything downstream
-    (Arrow binary columns through the object store, actor-pool parsing,
+    (Arrow binary columns through the object store, per-batch parsing,
     small-batch sizing) is the real plumbing."""
 
     def synth(batch: pa.Table) -> pa.Table:
@@ -189,7 +189,7 @@ def synthesize_media(ds, *, text_col: str = "text", id_col: str = "doc_id"):
 
 
 class MediaMetaStage:
-    """Actor-pool stage: binary payload → typed metadata row
+    """``map_batches`` stage: binary payload → typed metadata row
     (doc_id, width, height, n_bytes, payload_md5). The header parse reads
     the payload bytes themselves — this is the stage a real decoder would
     replace — and the md5 fingerprints every payload byte so a value-hash
@@ -215,20 +215,15 @@ class MediaMetaStage:
         )
 
 
-def decode_media(ds, kind: str = "image", concurrency: int = 2, batch_size: int = 64):
-    """Wire a media dataset through the right actor-pool decode stage —
-    small batches because payloads are wide (ray_guide memory notes)."""
+def decode_media(ds, kind: str = "image", batch_size: int = 64):
+    """Wire a media dataset through the right decode stage — small batches
+    because payloads are wide (ray_guide memory notes)."""
     stage = {
         "image": DecodeImageStage,
         "audio": AudioFrameSampleStage,
         "video": VideoFrameSampleStage,
-    }[kind]
-    return ds.map_batches(
-        stage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
-    )
+    }[kind]()
+    return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
 
 
 def decode_pnm(payload: bytes) -> tuple[np.ndarray, int, int, int, int]:
@@ -274,7 +269,7 @@ def decode_pnm(payload: bytes) -> tuple[np.ndarray, int, int, int, int]:
 
 
 class DecodePnmStage:
-    """Actor-pool stage over binary PNM payloads → per-image integer stats
+    """``map_batches`` stage over binary PNM payloads → per-image integer stats
     + a luminance grid the (real) resize kernel can consume. Exact-integer
     outputs (sample_sum, lum_sum = Σ (r+g+b)//3) so a SQL twin replaying
     the image-generation arithmetic certifies the PARSER: any header or
@@ -377,7 +372,7 @@ def decode_wav_pcm(payload: bytes) -> tuple[np.ndarray, int, int]:
 
 
 class DecodeWavStage:
-    """Actor-pool stage over WAV payloads → per-frame mean |amplitude| in
+    """``map_batches`` stage over WAV payloads → per-frame mean |amplitude| in
     exact integer micros (frame of sample i = i·F // n — both engines
     compute the same partition), long output (doc_id, sample_rate, frame,
     energy_micros). A SQL twin replaying the waveform-generation
@@ -511,7 +506,7 @@ def decode_bmp(payload: bytes) -> tuple[np.ndarray, int, int, int]:
 
 
 class DecodeBmpStage:
-    """Actor-pool stage over BMP payloads → per-image exact-integer stats:
+    """``map_batches`` stage over BMP payloads → per-image exact-integer stats:
     ``rgb_sum`` certifies every channel byte; ``wsum`` = Σ (r+g+b)·(y·w+x+1)
     over TOP-DOWN coordinates certifies row order (a missed bottom-up flip
     or a padding-byte leak changes it); bpp certifies the variant path."""
@@ -662,7 +657,7 @@ def decode_qoi(payload: bytes) -> tuple[np.ndarray, int, int, int]:
     RGB / RGBA) with the running 64-entry color cache, terminated by the
     7×0x00 + 0x01 end marker. Returns ``(rgba int64 [h, w, 4], w, h,
     channels)``. Inherently sequential per image (each op is a delta off
-    the previous pixel) — parallelism comes from the actor pool across
+    the previous pixel) — parallelism comes from the map tasks across
     images, not within one."""
     import struct
 
@@ -730,7 +725,7 @@ def decode_qoi(payload: bytes) -> tuple[np.ndarray, int, int, int]:
 
 
 class DecodeQoiStage:
-    """Actor-pool stage over QOI payloads → exact-integer stats:
+    """``map_batches`` stage over QOI payloads → exact-integer stats:
     ``rgba_sum`` certifies every decoded channel, ``wsum`` (position-
     weighted) certifies op-stream ordering (a run emitted one pixel short
     or an index cache slot off changes it)."""

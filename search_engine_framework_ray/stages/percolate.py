@@ -3,8 +3,9 @@ Elasticsearch "percolator", saved-search notification systems): N
 REGISTERED structured queries are matched against a STREAM of documents,
 emitting (query, doc) hits — search turned inside out.
 
-Engine shape: the parsed query trees are tiny and ride each actor's
-``__init__`` (parse once per actor, never per batch). Every doc batch
+Engine shape: the parsed query trees are tiny; :func:`percolate` parses
+them once, when it is called (a bad query raises there, before any batch
+runs), and ships them inside the stage instance, never per batch. Every doc batch
 builds a batch-local inverted-index view (term → docid-ascending postings
 with gap-preserving positions — the exact layout ``state/shard.py``
 serves) and runs the REAL query evaluator's inverted-list algebra
@@ -103,7 +104,7 @@ class _BatchView:
 
 
 class PercolateStage:
-    """``map_batches`` actor: registered Il queries → (qid, doc_id, tf)
+    """``map_batches`` callable: registered Il queries → (qid, doc_id, tf)
     hits per batch. ``tf`` is the evaluated inverted list's term frequency
     (match count for positional ops — the same value the Il-root path
     emits)."""
@@ -159,10 +160,4 @@ def percolate(
 ) -> Dataset:
     """Match every registered query against every document → Dataset
     ``(qid, doc_id, tf)``. See :class:`PercolateStage`."""
-    return ds.map_batches(
-        PercolateStage,
-        fn_constructor_args=(queries,),
-        fn_constructor_kwargs=kw,
-        batch_format="pandas",
-        concurrency=(1, 8),
-    )
+    return ds.map_batches(PercolateStage(queries, **kw), batch_format="pandas")

@@ -32,9 +32,11 @@ Scale notes (100 TB design):
 - dsir_weights runs TWO streaming passes: pass 1 reduces per-batch bucket
   count partials through one tiny ``groupby(bucket)`` (≤ ``n_buckets`` rows
   cross the wire per batch — the corpus itself never shuffles); pass 2
-  broadcasts the ``n_buckets``-entry weight vector via ``ray.put`` and scores
-  docs embarrassingly parallel. Per-token md5 is cached per actor (Zipf
-  vocabulary ⇒ the cache converges to the live vocab after a few batches).
+  ships the ``n_buckets``-entry weight vector inside the scorer instance
+  (Ray Data puts the instance in the object store once per operator) and
+  scores docs embarrassingly parallel. Per-token md5 is cached per task
+  (Zipf vocabulary ⇒ the cache converges to the live vocab after a few
+  batches).
 - pii_scrub is a stateless single pass, all pandas ``str`` kernels.
 """
 
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray
 from ray.data import Dataset
 
 from .dedup import _md5_hash64
@@ -59,11 +60,11 @@ def _round_away(x: np.ndarray) -> np.ndarray:
 
 
 class _BucketCounter:
-    """map_batches actor: text → per-batch partial (bucket, c_target, c_all)
+    """map_batches callable: text → per-batch partial (bucket, c_target, c_all)
     token counts. Token→bucket is md5-low64 % n_buckets — byte-identical to
     DuckDB ``md5_number_lower(tok) % n`` so the SQL oracle can replay the
-    whole model — memoised per actor (the Python-loop md5 only ever runs
-    once per distinct live token per actor)."""
+    whole model — memoised per task (the Python-loop md5 only ever runs
+    once per distinct live token per task)."""
 
     def __init__(self, n_buckets: int, target_col: str, target_value: str,
                  text_col: str):
@@ -107,12 +108,12 @@ class _BucketCounter:
 
 
 class _DsirScorer:
-    """map_batches actor: text → (doc_id, dsir_micros) given the broadcast
-    weight vector (one ``ray.get`` per actor, not per batch)."""
+    """map_batches callable: text → (doc_id, dsir_micros) given the
+    weight vector, int64[n_buckets], held by the instance."""
 
-    def __init__(self, weights_ref, n_buckets: int, text_col: str,
+    def __init__(self, weights: np.ndarray, n_buckets: int, text_col: str,
                  id_col: str):
-        self.w = ray.get(weights_ref)          # int64[n_buckets], once
+        self.w = weights
         self.n_buckets = n_buckets
         self.text_col = text_col
         self.id_col = id_col
@@ -157,13 +158,8 @@ def dsir_weights(
     vocabulary), per the DSIR construction.
     """
     partials = ds.map_batches(
-        _BucketCounter,
-        fn_constructor_kwargs=dict(
-            n_buckets=n_buckets, target_col=target_col,
-            target_value=target_value, text_col=text_col,
-        ),
+        _BucketCounter(n_buckets, target_col, target_value, text_col),
         batch_format="pandas",
-        concurrency=(1, 8),
     )
     from ray.data.aggregate import Sum
 
@@ -179,15 +175,8 @@ def dsir_weights(
     lr = np.log((cnt["c_tgt"].to_numpy(np.float64) + 1.0) / (t_tgt + n_buckets)) \
         - np.log((cnt["c_all"].to_numpy(np.float64) + 1.0) / (t_all + n_buckets))
     w[cnt["bucket"].to_numpy(np.int64)] = _round_away(lr * 1e6).astype(np.int64)
-    w_ref = ray.put(w)
     return ds.map_batches(
-        _DsirScorer,
-        fn_constructor_kwargs=dict(
-            weights_ref=w_ref, n_buckets=n_buckets,
-            text_col=text_col, id_col=id_col,
-        ),
-        batch_format="pandas",
-        concurrency=(1, 8),
+        _DsirScorer(w, n_buckets, text_col, id_col), batch_format="pandas"
     )
 
 
@@ -208,24 +197,24 @@ def ft_weight_vector(n_buckets: int = FT_BUCKETS) -> np.ndarray:
 
 
 class HashedLinearScorer:
-    """map_batches actor: fastText-architecture quality scoring (Joulin et
+    """map_batches callable: fastText-architecture quality scoring (Joulin et
     al. 2016 — a linear model over hashed word unigrams AND bigrams), the
     filter family behind the GPT-3 / CCNet / DCLM web-quality gates. Per
     doc: every gram hashes to a weight bucket; ``score_micros`` =
     1000·(integer mean bucket weight) − 1 000 000 (centered), ``keep`` =
     score ≥ 0. All arithmetic on non-negative integers before one final
     subtraction, so Python ``//`` (floor) and DuckDB ``//`` (trunc) agree
-    and a SQL twin hash-matches. Weight vector broadcast once per actor;
-    gram→bucket hashes cached per actor (Zipf vocabulary)."""
+    and a SQL twin hash-matches. The instance holds the weight vector;
+    gram→bucket hashes are cached per task (Zipf vocabulary)."""
 
     def __init__(
         self,
-        weights_ref,
+        weights: np.ndarray,
         n_buckets: int = FT_BUCKETS,
         text_col: str = "text",
         id_col: str = "doc_id",
     ):
-        self.w = ray.get(weights_ref)
+        self.w = weights
         self.n_buckets = n_buckets
         self.text_col = text_col
         self.id_col = id_col
@@ -233,7 +222,7 @@ class HashedLinearScorer:
 
     def _buckets(self, grams: pd.Series) -> np.ndarray:
         cache, n = self._cache, self.n_buckets
-        if len(cache) < 2_000_000:  # bound actor memory: bigrams are
+        if len(cache) < 2_000_000:  # bound task memory: bigrams are
             # near-unique per doc (no Zipf reuse), so the cache must not
             # grow with corpus size — same bound as kstem_cached
             for g in grams.unique():
@@ -277,22 +266,13 @@ def hashed_linear_score(
     n_buckets: int = FT_BUCKETS,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int = 4,
 ) -> Dataset:
     """Distributed fastText-shaped scoring pass → (doc_id, score_micros,
-    keep). Streaming, zero shuffles; the weight vector ships via ``ray.put``
-    once (not per batch)."""
+    keep). Streaming, zero shuffles; the weight vector ships inside the
+    scorer instance, once per operator (not per batch)."""
     w = ft_weight_vector(n_buckets) if weights is None else weights
     return ds.map_batches(
-        HashedLinearScorer,
-        fn_constructor_kwargs={
-            "weights_ref": ray.put(w),
-            "n_buckets": n_buckets,
-            "text_col": text_col,
-            "id_col": id_col,
-        },
-        batch_format="pandas",
-        concurrency=(1, concurrency),
+        HashedLinearScorer(w, n_buckets, text_col, id_col), batch_format="pandas"
     )
 
 

@@ -3,7 +3,7 @@ counting, quality scoring, language id, document fingerprinting.
 
 All are vectorized/batched ``map_batches`` bodies over a documents-like table
 (``doc_id, text, …``). Stateless ones are plain functions; LangId is a
-callable class (compiles profiles once per actor).
+callable class (compiles profiles once, when built).
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ _LANG_PROFILES = {
 
 
 class LangIdStage:
-    """Actor-pool language id: function-word hit-rate argmax; 'und' when no
+    """``map_batches`` language id: function-word hit-rate argmax; 'und' when no
     profile scores (e.g. CJK text under this latin heuristic)."""
 
     def __init__(self, text_col: str = "text"):

@@ -2,23 +2,7 @@
 
 from __future__ import annotations
 
-import gc
-
 import pytest
-
-
-@pytest.fixture(autouse=True)
-def _release_actor_pools():
-    """Collect reference CYCLES after every test so completed Ray Data
-    actor pools actually die. The streaming executor's objects hold actor
-    handles in cyclic structures; on a 4-cpu test cluster a few lingering
-    MapWorker actors from finished datasets pin enough CPUs to DEADLOCK
-    the next test's pool (observed live: three idle pools from three
-    earlier multimodal entries starving the fourth — the verify skill's
-    'idle ray::MapWorker' first suspect). gc.collect() drops the cycles,
-    releasing the handles and the CPUs."""
-    yield
-    gc.collect()
 
 
 @pytest.fixture(scope="session")

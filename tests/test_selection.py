@@ -150,10 +150,7 @@ def test_media_meta_header_roundtrip(ray_session):
     rows = pd.DataFrame({"doc_id": [0, 65, 129], "text": ["aa", "b", ""]})
     media = synthesize_media(_mk_docs(rows))
     out = (
-        media.map_batches(
-            MediaMetaStage, batch_format="pyarrow", batch_size=2,
-            concurrency=(1, 2),
-        )
+        media.map_batches(MediaMetaStage(), batch_format="pyarrow", batch_size=2)
         .to_pandas()
         .set_index("doc_id")
         .sort_index()

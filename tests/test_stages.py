@@ -315,7 +315,7 @@ def test_langid_and_fingerprint(ray_session):
         {"doc_id": 3, "text": "el perro es grande y la casa es de madera con un techo"},
     ]
     ds = ray.data.from_items(rows)
-    out = ds.map_batches(LangIdStage, batch_format="pandas", concurrency=1).to_pandas()
+    out = ds.map_batches(LangIdStage(), batch_format="pandas").to_pandas()
     got = dict(zip(out["doc_id"], out["lang_pred"]))
     assert got == {0: "en", 1: "de", 2: "fr", 3: "es"}
 
@@ -427,10 +427,10 @@ def test_multimodal_fake_decode(ray_session):
         }
     )
     ds = ray.data.from_arrow(tab)
-    out = decode_media(ds, "image", concurrency=1).to_pandas()
+    out = decode_media(ds, "image").to_pandas()
     assert out["feat_dim"].tolist() == [64, 64]
     # deterministic across invocations
-    out2 = decode_media(ray.data.from_arrow(tab), "image", concurrency=1).to_pandas()
+    out2 = decode_media(ray.data.from_arrow(tab), "image").to_pandas()
     assert out["feature"].iloc[0].tolist() == out2["feature"].iloc[0].tolist()
 
     with pytest.raises(NotImplementedError):
@@ -510,7 +510,7 @@ def test_multimodal_video_and_resize(ray_session):
             "payload": pa.array([bytes(range(256)) * 4, b""], type=pa.binary()),
         }
     )
-    out = decode_media(ray.data.from_arrow(tab), "video", concurrency=1).to_pandas()
+    out = decode_media(ray.data.from_arrow(tab), "video").to_pandas()
     assert len(out) == 8  # 2 docs × 4 frames
     assert sorted(out["frame_idx"].unique().tolist()) == [0, 1, 2, 3]
     assert all(len(f) == 16 for f in out["feature"])
@@ -1443,6 +1443,10 @@ def test_percolate_semantics_and_gaps(ray_session):
 
     with pytest.raises(ValueError):
         PercolateStage([("bad", "#AND(spark join)")])
+    # the stage is built when percolate() is called: a bad query fails
+    # there, before the (lazy) Dataset is consumed
+    with pytest.raises(ValueError):
+        percolate(ray.data.from_pandas(rows), [("bad", "#AND(spark join)")])
 
 
 def test_char_entropy_closed_form(ray_session):
@@ -1791,7 +1795,7 @@ def test_minhash_probe_shingle_store_roundtrip(ray_session, tmp_path):
     sh_path = str(tmp_path / "shingles_old")
     _minhash_sigs(
         old_ds, n_perm=64, k_shingle=3, text_col="text", id_col="doc_id",
-        concurrency=2, strict_k=True,
+        strict_k=True,
     ).write_parquet(sig_path)
     minhash_shingle_store(old_ds, k_shingle=3).write_parquet(sh_path)
 
